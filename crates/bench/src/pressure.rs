@@ -27,6 +27,8 @@ use latr_kernel::{metrics, Machine, MachineConfig};
 use latr_sim::SECOND;
 use latr_workloads::{AllocStorm, PolicyKind};
 
+use crate::hotpath::fnv1a;
+
 /// Shape of one benchmark run (scaled down by `--quick` for CI).
 #[derive(Clone, Copy, Debug)]
 pub struct StormShape {
@@ -136,8 +138,9 @@ pub struct PressurePoint {
     pub oracle_clean: bool,
     /// Frames still allocated at the end (must be 0).
     pub leaked: usize,
-    /// Machine fingerprint — byte-identical across reruns of the arm.
-    pub fingerprint: String,
+    /// FNV-1a of the machine fingerprint — identical across reruns of
+    /// the arm.
+    pub fingerprint: u64,
 }
 
 /// Runs one arm of the storm and collects its point.
@@ -187,7 +190,7 @@ pub fn run_pressure_point(
         released_frames: machine.stats.counter(metrics::LATR_RECLAIM_RELEASED_FRAMES),
         oracle_clean: machine.oracle_violation().is_none(),
         leaked: machine.frames.allocated_count(),
-        fingerprint: machine.fingerprint(),
+        fingerprint: fnv1a(&machine.fingerprint()),
     }
 }
 
@@ -270,7 +273,7 @@ pub fn pressure_json(points: &[PressurePoint], shape: &StormShape, quick: bool) 
              \"expedited_sweeps\": {}, \"expedited_ipis\": {}, \
              \"expedite_latency_max_ns\": {}, \"pressure_sync_enters\": {}, \
              \"gate_held\": {}, \"released_frames\": {}, \"oracle_clean\": {}, \
-             \"leaked\": {}, \"fingerprint\": \"{}\"}}{comma}",
+             \"leaked\": {}, \"fingerprint\": \"{:016x}\"}}{comma}",
             p.arm,
             p.min_free,
             p.low_events,
@@ -316,6 +319,27 @@ mod tests {
         assert_eq!(first.fingerprint, again.fingerprint, "rerun must replay");
     }
 
+    /// The raw control characters inside JSON string literals; a strict
+    /// JSON parser rejects every one of them.
+    fn control_chars_in_strings(json: &str) -> Vec<char> {
+        let mut found = Vec::new();
+        let (mut in_string, mut escaped) = (false, false);
+        for c in json.chars() {
+            if !in_string {
+                in_string = c == '"';
+            } else if escaped {
+                escaped = false;
+            } else if c == '\\' {
+                escaped = true;
+            } else if c == '"' {
+                in_string = false;
+            } else if c < '\u{20}' {
+                found.push(c);
+            }
+        }
+        found
+    }
+
     #[test]
     fn json_is_well_formed() {
         let shape = quick_shape();
@@ -324,5 +348,16 @@ mod tests {
         assert!(json.contains("\"bench\": \"pressure\""));
         assert!(json.contains("latr-escalation"));
         assert_eq!(json.matches("{").count(), json.matches("}").count());
+        assert_eq!(
+            control_chars_in_strings(&json),
+            [],
+            "raw control characters inside strings:\n{json}"
+        );
+    }
+
+    #[test]
+    fn control_chars_in_strings_are_caught() {
+        assert_eq!(control_chars_in_strings("{\"a\": \"x\ny\"}"), ['\n']);
+        assert_eq!(control_chars_in_strings("{\"a\": \"x\\\"\\ny\"}\n"), []);
     }
 }

@@ -20,7 +20,7 @@ use latr_arch::{MachinePreset, Topology};
 use latr_core::LatrConfig;
 use latr_faults::FaultPlan;
 use latr_kernel::{metrics, EngineBackend, Machine, MachineConfig};
-use latr_sim::{Summary, MILLISECOND, SECOND};
+use latr_sim::{Nanos, Summary, MILLISECOND, SECOND};
 use latr_workloads::{ArrivalProcess, PolicyKind, ServingWorkload};
 
 use crate::hotpath::fnv1a;
@@ -129,6 +129,10 @@ pub struct ServingPoint {
     pub fingerprint: u64,
 }
 
+/// Simulated-time horizon of a serving run; every curve finishes well
+/// before it.
+pub const SERVING_HORIZON: Nanos = 60 * SECOND;
+
 /// Runs one serving curve on the chosen engine. The `Reference` engine
 /// also runs the reference (scan-every-queue) Latr sweep, measuring the
 /// full PR-4 baseline stack, exactly as the hotpath bench does.
@@ -138,6 +142,34 @@ pub fn run_serving_point(
     requests_per_worker: u64,
     seed: u64,
 ) -> ServingPoint {
+    let (mut machine, workload, policy) =
+        serving_setup(backend, variant, requests_per_worker, seed);
+    let start = Instant::now();
+    machine.run(Box::new(workload), policy.build(), SERVING_HORIZON);
+    let wall = start.elapsed().as_nanos().max(1);
+    let summary = |name: &str| machine.stats.histogram(name).map(|h| h.summary());
+    ServingPoint {
+        label: variant.label.to_string(),
+        engine: backend.label(),
+        cores: serving_shape().1,
+        requests: machine.stats.counter(metrics::WORK_UNITS),
+        wall_ns: wall,
+        events: machine.events_delivered(),
+        request_ns: summary(metrics::SERVING_REQUEST_NS),
+        shootdown_ns: summary(metrics::SHOOTDOWN_NS),
+        munmap_ns: summary(metrics::MUNMAP_NS),
+        fingerprint: fnv1a(&machine.fingerprint()),
+    }
+}
+
+/// The machine, workload and policy of one serving curve, ready for
+/// `machine.run(.., SERVING_HORIZON)`.
+pub fn serving_setup(
+    backend: EngineBackend,
+    variant: &ServingVariant,
+    requests_per_worker: u64,
+    seed: u64,
+) -> (Machine, ServingWorkload, PolicyKind) {
     let (topology, cores) = serving_shape();
     let mut config = MachineConfig::new(topology);
     config.seed = seed;
@@ -159,23 +191,7 @@ pub fn run_serving_point(
             factor: 2.0,
         })
         .with_seed(seed ^ 0x5e21);
-    let mut machine = Machine::new(config);
-    let start = Instant::now();
-    machine.run(Box::new(workload), policy.build(), 60 * SECOND);
-    let wall = start.elapsed().as_nanos().max(1);
-    let summary = |name: &str| machine.stats.histogram(name).map(|h| h.summary());
-    ServingPoint {
-        label: variant.label.to_string(),
-        engine: backend.label(),
-        cores,
-        requests: machine.stats.counter(metrics::WORK_UNITS),
-        wall_ns: wall,
-        events: machine.events_delivered(),
-        request_ns: summary(metrics::SERVING_REQUEST_NS),
-        shootdown_ns: summary(metrics::SHOOTDOWN_NS),
-        munmap_ns: summary(metrics::MUNMAP_NS),
-        fingerprint: fnv1a(&machine.fingerprint()),
-    }
+    (Machine::new(config), workload, policy)
 }
 
 /// Cross-engine gate for one variant: the same small run on every

@@ -2450,7 +2450,12 @@ impl Machine {
             self.frame_vec_pool.push(pkg.frames);
         }
         if let Some(va) = pkg.va {
-            self.mms[pkg.mm.0 as usize].unblock_va(&va);
+            let found = self.mms[pkg.mm.0 as usize].unblock_va(&va);
+            debug_assert!(
+                found,
+                "{:?} released {va:?}, which was never blocked",
+                pkg.mm
+            );
         }
     }
 

@@ -7,6 +7,15 @@
 //! the lazy TLB shootdown completes ("the lazy virtual address list is
 //! traversed during any memory allocation, and the addresses in the lazy
 //! list are not reused", §4.2).
+//!
+//! The blocked list is kept sorted by `(start, pages)`; duplicates and
+//! overlapping ranges are allowed (a range can be re-blocked before its
+//! first package releases it). Sorting lets [`MmStruct::find_free_va`]
+//! traverse it once per allocation, in step with the VMA gap search,
+//! instead of rescanning it for every candidate gap: under Latr a busy
+//! address space holds thousands of blocked ranges stacked just above the
+//! mmap floor. Blocking and unblocking binary-search the list and shift
+//! it in place, so the steady state performs no heap allocation.
 
 use crate::addr::{VaRange, Vpn};
 use crate::page_cache::FileId;
@@ -55,25 +64,35 @@ impl MmStruct {
         }
     }
 
-    /// Finds a free virtual range of `pages` pages, skipping both existing
-    /// VMAs and the blocked (lazily reclaimed) list. Does not insert
-    /// anything.
+    /// Finds the lowest free virtual range of `pages` pages above the mmap
+    /// floor, skipping both existing VMAs and the blocked (lazily
+    /// reclaimed) list. Does not insert anything.
+    ///
+    /// One forward walk over the sorted blocked list: a cursor admits
+    /// every blocked range starting below the candidate's end, and `reach`
+    /// is the furthest end among them. The candidate is free iff `reach`
+    /// does not pass its start. Otherwise the range ending at `reach`
+    /// overlaps every start in `[candidate.start, reach)`, so the VMA gap
+    /// search resumes at `reach`. Candidates only move up, so the cursor
+    /// never moves back.
     pub fn find_free_va(&self, pages: u64) -> VaRange {
         assert!(pages > 0, "cannot allocate an empty range");
         let mut floor = self.va_floor;
+        let mut next = 0;
+        let mut reach = Vpn(0);
         loop {
-            let start = self.vmas.find_gap(floor, pages);
-            let candidate = VaRange::new(start, pages);
-            match self
-                .blocked
-                .iter()
-                .filter(|b| b.overlaps(&candidate))
-                .map(|b| b.end())
-                .max()
-            {
-                None => return candidate,
-                Some(bump) => floor = bump,
+            let candidate = VaRange::new(self.vmas.find_gap(floor, pages), pages);
+            while let Some(b) = self.blocked.get(next) {
+                if b.start >= candidate.end() {
+                    break;
+                }
+                reach = reach.max(b.end());
+                next += 1;
             }
+            if reach <= candidate.start {
+                return candidate;
+            }
+            floor = reach;
         }
     }
 
@@ -114,23 +133,32 @@ impl MmStruct {
 
     /// Marks `range` as blocked from reuse until
     /// [`unblock_va`](Self::unblock_va) — the lazy-reclamation list.
+    /// The range must be non-empty; blocking it again is allowed and needs
+    /// one unblock per block.
     pub fn block_va(&mut self, range: VaRange) {
         debug_assert!(!range.is_empty());
-        self.blocked.push(range);
+        let key = blocked_key(&range);
+        let pos = self.blocked.partition_point(|b| blocked_key(b) <= key);
+        self.blocked.insert(pos, range);
     }
 
-    /// Releases a previously blocked range for reuse. Returns whether the
-    /// range was found.
+    /// Releases a previously blocked range for reuse (one copy, if it was
+    /// blocked more than once). Returns whether the range was found.
     pub fn unblock_va(&mut self, range: &VaRange) -> bool {
-        if let Some(pos) = self.blocked.iter().position(|b| b == range) {
-            self.blocked.swap_remove(pos);
-            true
-        } else {
-            false
+        match self
+            .blocked
+            .binary_search_by_key(&blocked_key(range), blocked_key)
+        {
+            Ok(pos) => {
+                self.blocked.remove(pos);
+                true
+            }
+            Err(_) => false,
         }
     }
 
-    /// Currently blocked ranges (test/debug aid).
+    /// Currently blocked ranges, sorted by `(start, pages)` (test/debug
+    /// aid).
     pub fn blocked_ranges(&self) -> &[VaRange] {
         &self.blocked
     }
@@ -144,6 +172,11 @@ impl MmStruct {
     pub fn cpu_deactivated(&mut self, cpu: CpuId) {
         self.cpumask.clear(cpu);
     }
+}
+
+/// The blocked list's sort key.
+fn blocked_key(range: &VaRange) -> (Vpn, u64) {
+    (range.start, range.pages)
 }
 
 impl std::fmt::Debug for MmStruct {
@@ -161,6 +194,127 @@ impl std::fmt::Debug for MmStruct {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use latr_sim::SimRng;
+
+    /// The linear scan the sorted walk replaced, kept as its reference:
+    /// for every candidate gap (itself found by scanning the VMAs from the
+    /// lowest) it rescans the whole blocked list and moves the floor past
+    /// the furthest overlapping range.
+    fn find_free_va_linear(mm: &MmStruct, pages: u64) -> VaRange {
+        let mut floor = mm.va_floor;
+        loop {
+            let mut start = floor;
+            for vma in mm.vmas.iter() {
+                if vma.range.end() <= start {
+                    continue;
+                }
+                if vma.range.start.0 >= start.0 + pages {
+                    break;
+                }
+                start = vma.range.end();
+            }
+            let candidate = VaRange::new(start, pages);
+            match mm
+                .blocked
+                .iter()
+                .filter(|b| b.overlaps(&candidate))
+                .map(|b| b.end())
+                .max()
+            {
+                None => return candidate,
+                Some(bump) => floor = bump,
+            }
+        }
+    }
+
+    /// Checks the walk against the reference for every page count 1..=64,
+    /// and that the blocked list is sorted.
+    fn assert_walk_matches_reference(mm: &MmStruct, context: &str) {
+        let blocked = mm.blocked_ranges();
+        assert!(
+            blocked
+                .windows(2)
+                .all(|w| blocked_key(&w[0]) <= blocked_key(&w[1])),
+            "{context}: blocked list unsorted: {blocked:?}"
+        );
+        for pages in 1..=64 {
+            assert_eq!(
+                mm.find_free_va(pages),
+                find_free_va_linear(mm, pages),
+                "{context}: {pages} pages, blocked {blocked:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn sorted_walk_matches_linear_reference_under_random_churn() {
+        for seed in 0..48 {
+            let mut rng = SimRng::new(seed);
+            let mut mm = MmStruct::new(MmId(1));
+            let mut mapped: Vec<VaRange> = Vec::new();
+            // The blocked multiset, in blocking order.
+            let mut model: Vec<VaRange> = Vec::new();
+            for step in 0..300 {
+                let context = format!("seed {seed} step {step}");
+                match rng.below(6) {
+                    // mmap: the walk must pick the reference's range.
+                    0 | 1 => {
+                        let pages = rng.range(1, 64);
+                        let expected = find_free_va_linear(&mm, pages);
+                        let got = mm.mmap_anon(pages, Prot::READ_WRITE);
+                        assert_eq!(got, expected, "{context}: mmap of {pages}");
+                        mapped.push(got);
+                    }
+                    // munmap then block, as a lazy unmap does.
+                    2 if !mapped.is_empty() => {
+                        let r = mapped.swap_remove(rng.index(mapped.len()));
+                        mm.munmap_vmas(&r);
+                        mm.block_va(r);
+                        model.push(r);
+                    }
+                    // Block again a range that is already blocked.
+                    3 if !model.is_empty() => {
+                        let r = model[rng.index(model.len())];
+                        mm.block_va(r);
+                        model.push(r);
+                    }
+                    // Block an arbitrary range overlapping its neighbours.
+                    4 => {
+                        let start = MMAP_FLOOR.offset(rng.below(1024));
+                        let r = VaRange::new(start, rng.range(1, 64));
+                        mm.block_va(r);
+                        model.push(r);
+                    }
+                    // Unblock one copy of a blocked range.
+                    _ if !model.is_empty() => {
+                        let r = model.swap_remove(rng.index(model.len()));
+                        assert!(mm.unblock_va(&r), "{context}: {r:?} was blocked");
+                    }
+                    _ => {}
+                }
+                let mut want = model.clone();
+                want.sort_by_key(blocked_key);
+                assert_eq!(mm.blocked_ranges(), &want[..], "{context}: multiset");
+                assert_walk_matches_reference(&mm, &context);
+            }
+        }
+    }
+
+    #[test]
+    fn unblocking_one_duplicate_keeps_the_other() {
+        let mut mm = MmStruct::new(MmId(1));
+        let a = mm.find_free_va(4);
+        mm.block_va(a);
+        mm.block_va(a);
+        mm.block_va(VaRange::new(a.start, 2));
+        assert!(mm.unblock_va(&a));
+        assert_eq!(mm.blocked_ranges(), &[VaRange::new(a.start, 2), a]);
+        assert!(!a.overlaps(&mm.find_free_va(4)), "one copy still blocks");
+        assert_walk_matches_reference(&mm, "one duplicate left");
+        assert!(mm.unblock_va(&a));
+        assert!(!mm.unblock_va(&a), "both copies are gone");
+        assert_eq!(mm.find_free_va(4).start, a.start.offset(2));
+    }
 
     #[test]
     fn mmap_anon_allocates_disjoint_ranges() {

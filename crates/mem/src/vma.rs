@@ -271,10 +271,10 @@ impl VmaTree {
     /// Finds the lowest free gap of `pages` pages at or above `floor`.
     pub fn find_gap(&self, floor: Vpn, pages: u64) -> Vpn {
         let mut candidate = floor;
-        for vma in &self.vmas {
-            if vma.range.end() <= candidate {
-                continue;
-            }
+        // Disjoint VMAs sorted by start are sorted by end too: one binary
+        // search skips every VMA that ends at or below the floor.
+        let first = self.vmas.partition_point(|v| v.range.end() <= floor);
+        for vma in &self.vmas[first..] {
             if vma.range.start.0 >= candidate.0 + pages {
                 break; // gap before this VMA fits
             }
@@ -439,6 +439,9 @@ mod tests {
         assert_eq!(t.find_gap(Vpn(10), 2), Vpn(15));
         assert_eq!(t.find_gap(Vpn(10), 3), Vpn(20));
         assert_eq!(t.find_gap(Vpn(18), 1), Vpn(20));
+        assert_eq!(t.find_gap(Vpn(12), 1), Vpn(15));
+        assert_eq!(t.find_gap(Vpn(15), 3), Vpn(20));
+        assert_eq!(t.find_gap(Vpn(25), 4), Vpn(25));
     }
 
     #[test]

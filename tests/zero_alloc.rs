@@ -13,29 +13,50 @@
 //!
 //! Tracing and the oracle are off (both are diagnostic layers with their
 //! own buffers), matching the `BENCH_hotpath.json` configuration.
+//!
+//! A second case pins the same property for Latr's blocked-VA list on its
+//! own: mapping, unmapping, blocking and unblocking on one address space
+//! with about a hundred ranges blocked shifts the sorted list in place
+//! and never allocates.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::collections::VecDeque;
 
 /// Counts every allocation (`alloc`, `alloc_zeroed`, and growth via
-/// `realloc`) routed through the global allocator.
+/// `realloc`) routed through the global allocator, per thread, so the
+/// cases can run in parallel without counting each other.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` because the allocator also serves thread teardown, after
+    // the counter itself is gone.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations the calling thread has performed so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 // SAFETY: delegates every operation to `System` unchanged; the counter
-// is a relaxed atomic with no other side effects.
+// is a const-initialised thread-local `Cell` with no destructor, which
+// never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -49,6 +70,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 use latr_arch::{MachinePreset, Topology};
 use latr_core::LatrConfig;
 use latr_kernel::{EngineBackend, Machine, MachineConfig};
+use latr_mem::{MmId, MmStruct, Prot, VaRange, Vma};
 use latr_sim::{Nanos, MILLISECOND};
 use latr_workloads::{PolicyKind, SweepStorm};
 
@@ -68,9 +90,9 @@ fn allocations_during(duration: Nanos) -> (u64, u64) {
     // idle ticks.
     let workload = Box::new(SweepStorm::new(16, 1_000_000));
     let policy = PolicyKind::Latr(LatrConfig::default()).build();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     machine.run(workload, policy, duration);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     (after - before, machine.events_delivered())
 }
 
@@ -94,5 +116,55 @@ fn sweep_storm_steady_state_allocates_nothing_per_event() {
          {} events allocated {} times",
         long_events - short_events,
         long_allocs - short_allocs,
+    );
+}
+
+/// One lazy-unmap cycle on `mm`: map `pages`, unmap them, block the range
+/// and release the oldest blocked range, keeping `blocked` ranges held.
+fn blocked_va_cycle(
+    mm: &mut MmStruct,
+    held: &mut VecDeque<VaRange>,
+    scratch: &mut Vec<Vma>,
+    pages: u64,
+    blocked: usize,
+) {
+    let range = mm.mmap_anon(pages, Prot::READ_WRITE);
+    scratch.clear();
+    mm.munmap_vmas_into(&range, scratch);
+    mm.block_va(range);
+    held.push_back(range);
+    if held.len() > blocked {
+        let oldest = held.pop_front().expect("held is non-empty");
+        assert!(mm.unblock_va(&oldest));
+    }
+}
+
+#[test]
+fn blocked_va_churn_allocates_nothing() {
+    const BLOCKED: usize = 100;
+    let mut mm = MmStruct::new(MmId(1));
+    // A few live mappings the gap search has to step around.
+    for pages in [3, 17, 5] {
+        mm.mmap_anon(pages, Prot::READ_WRITE);
+    }
+    let mut held = VecDeque::with_capacity(BLOCKED + 1);
+    let mut scratch = Vec::with_capacity(4);
+    let pages = |i: u64| 1 + (i * 37) % 64;
+    // Warm-up: grow the blocked list and the VMA tree to their working
+    // sizes.
+    for i in 0..2_000 {
+        blocked_va_cycle(&mut mm, &mut held, &mut scratch, pages(i), BLOCKED);
+    }
+    assert_eq!(mm.blocked_ranges().len(), BLOCKED);
+    let before = allocations();
+    for i in 0..10_000 {
+        blocked_va_cycle(&mut mm, &mut held, &mut scratch, pages(i), BLOCKED);
+    }
+    let allocated = allocations() - before;
+    assert_eq!(mm.blocked_ranges().len(), BLOCKED);
+    assert_eq!(
+        allocated, 0,
+        "10,000 map/unmap/block/unblock cycles with {BLOCKED} ranges \
+         blocked allocated {allocated} times"
     );
 }
