@@ -277,7 +277,7 @@ impl Tlb {
 
     /// Enables (or disables) capacity-eviction tracking. While enabled,
     /// entries that fall out of *both* levels record themselves in a log
-    /// drained by [`take_evicted`](Self::take_evicted). Off by default —
+    /// read by [`evicted`](Self::evicted). Off by default —
     /// the coherence oracle turns it on so its shadow TLB mirror stays
     /// exact without scanning every slot per event.
     pub fn set_eviction_tracking(&mut self, on: bool) {
@@ -287,9 +287,15 @@ impl Tlb {
         }
     }
 
-    /// Drains the pending capacity-eviction log.
-    pub fn take_evicted(&mut self) -> Vec<TlbEntry> {
-        std::mem::take(&mut self.evicted)
+    /// The pending capacity-eviction log, oldest first.
+    pub fn evicted(&self) -> &[TlbEntry] {
+        &self.evicted
+    }
+
+    /// Empties the capacity-eviction log, keeping its buffer for the next
+    /// evictions.
+    pub fn clear_evicted(&mut self) {
+        self.evicted.clear();
     }
 
     /// Records `displaced` victims that are now absent from both levels.
@@ -544,7 +550,8 @@ mod tests {
         for v in 0..4096 {
             tlb.insert(entry(v));
         }
-        let evicted = tlb.take_evicted();
+        let evicted = tlb.evicted().to_vec();
+        tlb.clear_evicted();
         assert!(!evicted.is_empty(), "thrashing must evict something");
         // Every reported victim is really gone from both levels, and every
         // entry absent from both levels was reported exactly once.
@@ -563,11 +570,11 @@ mod tests {
             .filter(|&v| tlb.peek(PCID_NONE, v).is_some())
             .count();
         assert_eq!(survivors + evicted.len(), 4096);
-        // Draining leaves the log empty; disabling clears any remainder.
-        assert!(tlb.take_evicted().is_empty());
+        // Clearing leaves the log empty; disabling clears any remainder.
+        assert!(tlb.evicted().is_empty());
         tlb.set_eviction_tracking(false);
         tlb.insert(entry(9999));
-        assert!(tlb.take_evicted().is_empty());
+        assert!(tlb.evicted().is_empty());
     }
 
     #[test]
@@ -580,12 +587,12 @@ mod tests {
         for v in 0..512 {
             tlb.insert(entry(v));
         }
-        tlb.take_evicted();
+        tlb.clear_evicted();
         for v in 0..512 {
             assert!(tlb.lookup(PCID_NONE, v).is_some());
         }
         assert!(
-            tlb.take_evicted().is_empty(),
+            tlb.evicted().is_empty(),
             "promotion displacements must not be reported while the victim survives in L2"
         );
     }

@@ -13,7 +13,9 @@
 //! cargo run --release -p latr-bench --bin serving -- --quick
 //! ```
 //!
-//! Exits non-zero if any cross-engine gate fails.
+//! Exits non-zero if any cross-engine gate fails, or if the coherence
+//! oracle, which shadows every curve, reports a violation or observes no
+//! events on one.
 
 use latr_bench::print_title;
 use latr_bench::serving::{
@@ -47,8 +49,8 @@ fn main() {
 
     println!();
     println!(
-        "{:<18} {:>10} {:>12} {:>10} {:>10} {:>10} {:>12}",
-        "variant", "requests", "wall (ms)", "p50 (us)", "p99 (us)", "p999 (us)", "events"
+        "{:<18} {:>10} {:>12} {:>10} {:>10} {:>10} {:>12} {:>8}",
+        "variant", "requests", "wall (ms)", "p50 (us)", "p99 (us)", "p999 (us)", "events", "oracle"
     );
     let mut curves = Vec::new();
     for v in &variants {
@@ -61,7 +63,7 @@ fn main() {
         let us = |n: u64| n as f64 / 1e3;
         let s = p.request_ns.clone().expect("requests served");
         println!(
-            "{:<18} {:>10} {:>12.1} {:>10.1} {:>10.1} {:>10.1} {:>12}",
+            "{:<18} {:>10} {:>12.1} {:>10.1} {:>10.1} {:>10.1} {:>12} {:>8}",
             p.label,
             p.requests,
             p.wall_ns as f64 / 1e6,
@@ -69,6 +71,7 @@ fn main() {
             us(s.p99),
             us(s.p999),
             p.events,
+            if p.oracle_clean { "clean" } else { "FAILED" },
         );
         curves.push(p);
     }
@@ -89,6 +92,13 @@ fn main() {
     println!("wrote BENCH_serving.json");
 
     if !all_passed {
+        std::process::exit(1);
+    }
+    if let Some(p) = curves.iter().find(|p| !p.oracle_clean) {
+        eprintln!(
+            "FAIL: the coherence oracle did not pass the {} curve ({} events observed)",
+            p.label, p.oracle_events
+        );
         std::process::exit(1);
     }
 }

@@ -127,6 +127,11 @@ pub struct ServingPoint {
     pub munmap_ns: Option<Summary>,
     /// FNV-1a of the full fingerprint, for the cross-engine gate.
     pub fingerprint: u64,
+    /// Events the coherence oracle observed.
+    pub oracle_events: u64,
+    /// Whether the oracle shadowed the run (observed events) and found no
+    /// coherence violation.
+    pub oracle_clean: bool,
 }
 
 /// Simulated-time horizon of a serving run; every curve finishes well
@@ -159,11 +164,15 @@ pub fn run_serving_point(
         shootdown_ns: summary(metrics::SHOOTDOWN_NS),
         munmap_ns: summary(metrics::MUNMAP_NS),
         fingerprint: fnv1a(&machine.fingerprint()),
+        oracle_events: machine.oracle_events_observed(),
+        oracle_clean: machine.oracle_events_observed() > 0 && machine.oracle_violation().is_none(),
     }
 }
 
 /// The machine, workload and policy of one serving curve, ready for
-/// `machine.run(.., SERVING_HORIZON)`.
+/// `machine.run(.., SERVING_HORIZON)`. The coherence oracle shadows the
+/// run: it only observes, so every simulated result is the same as with
+/// it off, and each curve doubles as a safety check.
 pub fn serving_setup(
     backend: EngineBackend,
     variant: &ServingVariant,
@@ -174,7 +183,7 @@ pub fn serving_setup(
     let mut config = MachineConfig::new(topology);
     config.seed = seed;
     config.trace_capacity = 0;
-    config.oracle = false;
+    config.oracle = true;
     config.engine = backend;
     config.faults = variant.faults.clone();
     let policy = match variant.policy {
@@ -280,7 +289,8 @@ pub fn serving_json(gates: &[ServingGate], curves: &[ServingPoint], quick: bool)
             out,
             "    {{\"label\": \"{}\", \"engine\": \"{}\", \"requests\": {}, \
              \"wall_ns\": {}, \"events\": {}, \"request_ns\": {}, \
-             \"shootdown_ns\": {}, \"munmap_ns\": {}, \"fingerprint\": \"{:016x}\"}}{comma}",
+             \"shootdown_ns\": {}, \"munmap_ns\": {}, \"fingerprint\": \"{:016x}\", \
+             \"oracle_events\": {}, \"oracle_clean\": {}}}{comma}",
             p.label,
             p.engine,
             p.requests,
@@ -290,6 +300,8 @@ pub fn serving_json(gates: &[ServingGate], curves: &[ServingPoint], quick: bool)
             summary_json(&p.shootdown_ns),
             summary_json(&p.munmap_ns),
             p.fingerprint,
+            p.oracle_events,
+            p.oracle_clean,
         );
     }
     let _ = writeln!(out, "  ],");
@@ -343,11 +355,14 @@ mod tests {
             shootdown_ns: None,
             munmap_ns: None,
             fingerprint: 7,
+            oracle_events: 3,
+            oracle_clean: true,
         };
         let json = serving_json(&[gate], &[point], true);
         assert!(json.contains("\"gates_passed\": true"));
         assert!(json.contains("\"p999\": 10"));
         assert!(json.contains("\"shootdown_ns\": null"));
+        assert!(json.contains("\"oracle_events\": 3, \"oracle_clean\": true}"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(!json.contains(",\n}"), "no trailing comma:\n{json}");

@@ -383,7 +383,8 @@ impl Machine {
         #[cfg(feature = "oracle")]
         if machine.oracle.is_some() {
             // Exact shadow mirroring needs the TLB to report capacity
-            // evictions; the wrappers drain the log after every fill.
+            // evictions; the wrappers drain the log after every fill and
+            // lookup, so it stays a few entries long.
             for core in &mut machine.cores {
                 core.tlb.set_eviction_tracking(true);
             }
@@ -571,10 +572,11 @@ impl Machine {
         #[cfg(feature = "oracle")]
         if self.oracle.is_some() {
             let now = self.now();
-            let evicted = self.cores[cpu.index()].tlb.take_evicted();
             let allocated = self.frames.is_allocated(Pfn(entry.pfn));
             if let Some(o) = self.oracle.as_mut() {
-                o.note_evictions(cpu, &evicted, now);
+                let tlb = &mut self.cores[cpu.index()].tlb;
+                o.note_evictions(cpu, tlb.evicted(), now);
+                tlb.clear_evicted();
                 o.note_fill(
                     cpu,
                     entry.pcid,
@@ -594,11 +596,12 @@ impl Machine {
         #[cfg(feature = "oracle")]
         if self.oracle.is_some() {
             let now = self.now();
-            // An L2→L1 promotion can itself displace an L1 slot.
-            let evicted = self.cores[cpu.index()].tlb.take_evicted();
             let allocated = hit.map(|e| self.frames.is_allocated(Pfn(e.pfn)));
             if let Some(o) = self.oracle.as_mut() {
-                o.note_evictions(cpu, &evicted, now);
+                // An L2→L1 promotion can itself displace an L1 slot.
+                let tlb = &mut self.cores[cpu.index()].tlb;
+                o.note_evictions(cpu, tlb.evicted(), now);
+                tlb.clear_evicted();
                 if let (Some(e), Some(allocated)) = (hit, allocated) {
                     o.note_hit(cpu, pcid, vpn, Pfn(e.pfn), allocated, now);
                 }

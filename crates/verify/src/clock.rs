@@ -12,7 +12,7 @@ use std::fmt;
 
 /// A vector clock: `clock[i]` counts events attributed to context `i`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct VClock(Vec<u64>);
+pub struct VClock(pub(crate) Vec<u64>);
 
 impl VClock {
     /// A zero clock over `n` contexts.
@@ -48,6 +48,29 @@ impl VClock {
         }
         for (a, b) in self.0.iter_mut().zip(&other.0) {
             *a = (*a).max(*b);
+        }
+    }
+
+    /// The non-zero `(context, component)` pairs, in context order: a
+    /// snapshot to [`join_sparse`](Self::join_sparse) later. A context's
+    /// clock is non-zero only for the contexts it synchronised with, so
+    /// on a large machine this is usually far shorter than the clock.
+    pub(crate) fn sparse(&self) -> Vec<(usize, u64)> {
+        self.0
+            .iter()
+            .enumerate()
+            .filter(|&(_, &v)| v > 0)
+            .map(|(i, &v)| (i, v))
+            .collect()
+    }
+
+    /// Pointwise maximum with a snapshot taken by [`sparse`](Self::sparse).
+    pub(crate) fn join_sparse(&mut self, other: &[(usize, u64)]) {
+        for &(i, v) in other {
+            if self.0.len() <= i {
+                self.0.resize(i + 1, 0);
+            }
+            self.0[i] = self.0[i].max(v);
         }
     }
 
@@ -89,6 +112,25 @@ mod tests {
         assert_eq!(b.get(0), 2);
         assert_eq!(b.get(1), 1);
         assert_eq!(format!("{b}"), "[2 1 0]");
+    }
+
+    #[test]
+    fn sparse_snapshot_joins_like_the_clock() {
+        let mut a = VClock::new(5);
+        let mut b = VClock::new(5);
+        a.tick(0);
+        a.tick(3);
+        b.tick(3);
+        b.tick(3);
+        b.tick(4);
+        assert_eq!(b.sparse(), vec![(3, 2), (4, 1)]);
+        let mut dense = a.clone();
+        dense.join(&b);
+        a.join_sparse(&b.sparse());
+        assert_eq!(a, dense);
+        let mut short = VClock::new(1);
+        short.join_sparse(&b.sparse());
+        assert_eq!(short, b);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The oracle's event vocabulary.
 //!
 //! Every translation-coherence-relevant action in the machine's event loop
-//! is mirrored as one [`EventRecord`] in a bounded history ring. When a
-//! check fires, the offending record plus the history establishing (or
-//! failing to establish) the happens-before edges become the violation
-//! trace.
+//! is mirrored as one [`EventKind`] in a bounded history ring, next to a
+//! copy of its context's vector clock. When a check fires, the offending
+//! event plus the history establishing (or failing to establish) the
+//! happens-before edges become the violation trace, as [`EventRecord`]s.
 
 use crate::clock::VClock;
 use latr_arch::{CpuId, CpuMask};
@@ -32,7 +32,7 @@ impl fmt::Display for Ctx {
 }
 
 /// One coherence-relevant action.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
     /// A TLB fill: a translation was installed.
     Fill {
@@ -128,6 +128,28 @@ pub enum EventKind {
     },
 }
 
+impl EventKind {
+    /// Whether this event is relevant when explaining an incident about
+    /// `pfn` and/or `vpn`.
+    pub fn touches(&self, pfn: Option<u64>, vpn: Option<u64>) -> bool {
+        match *self {
+            EventKind::Fill { vpn: v, pfn: p, .. }
+            | EventKind::Hit { vpn: v, pfn: p, .. }
+            | EventKind::Evict { vpn: v, pfn: p, .. } => pfn == Some(p) || vpn == Some(v),
+            EventKind::Invalidate { vpn: v, .. } => vpn == Some(v),
+            EventKind::FlushAll => false,
+            EventKind::Alloc { pfn: p } | EventKind::Free { pfn: p } => pfn == Some(p),
+            EventKind::Publish { range, .. } | EventKind::Sweep { range, .. } => {
+                vpn.is_some_and(|v| range.contains(Vpn(v)))
+            }
+            EventKind::MigrationProceed { vpn: v, .. } => vpn == Some(v.0),
+            EventKind::IpiSend { .. } | EventKind::IpiDeliver { .. } | EventKind::Ack { .. } => {
+                false
+            }
+        }
+    }
+}
+
 impl fmt::Display for EventKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
@@ -176,7 +198,8 @@ impl fmt::Display for EventKind {
     }
 }
 
-/// One entry of the oracle's history ring.
+/// One event with the vector clock its context held right after it: the
+/// form a [`Violation`](crate::Violation) report shows.
 #[derive(Clone, Debug)]
 pub struct EventRecord {
     /// Global sequence number (total order of oracle observations).
@@ -189,28 +212,6 @@ pub struct EventRecord {
     pub clock: VClock,
     /// What happened.
     pub kind: EventKind,
-}
-
-impl EventRecord {
-    /// Whether this record is relevant when explaining an incident about
-    /// `pfn` and/or `vpn`.
-    pub fn touches(&self, pfn: Option<u64>, vpn: Option<u64>) -> bool {
-        match self.kind {
-            EventKind::Fill { vpn: v, pfn: p, .. }
-            | EventKind::Hit { vpn: v, pfn: p, .. }
-            | EventKind::Evict { vpn: v, pfn: p, .. } => pfn == Some(p) || vpn == Some(v),
-            EventKind::Invalidate { vpn: v, .. } => vpn == Some(v),
-            EventKind::FlushAll => false,
-            EventKind::Alloc { pfn: p } | EventKind::Free { pfn: p } => pfn == Some(p),
-            EventKind::Publish { range, .. } | EventKind::Sweep { range, .. } => {
-                vpn.is_some_and(|v| range.contains(Vpn(v)))
-            }
-            EventKind::MigrationProceed { vpn: v, .. } => vpn == Some(v.0),
-            EventKind::IpiSend { .. } | EventKind::IpiDeliver { .. } | EventKind::Ack { .. } => {
-                false
-            }
-        }
-    }
 }
 
 impl fmt::Display for EventRecord {

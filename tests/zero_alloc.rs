@@ -18,6 +18,10 @@
 //! own: mapping, unmapping, blocking and unblocking on one address space
 //! with about a hundred ranges blocked shifts the sorted list in place
 //! and never allocates.
+//!
+//! A third pins it for the coherence oracle driven directly: once its
+//! history ring and shadow maps have grown, recording fills, hits,
+//! invalidations, capacity evictions and frame churn allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -67,11 +71,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-use latr_arch::{MachinePreset, Topology};
+use latr_arch::{CpuId, MachinePreset, TlbEntry, Topology};
 use latr_core::LatrConfig;
 use latr_kernel::{EngineBackend, Machine, MachineConfig};
-use latr_mem::{MmId, MmStruct, Prot, VaRange, Vma};
-use latr_sim::{Nanos, MILLISECOND};
+use latr_mem::{MmId, MmStruct, Pfn, Prot, VaRange, Vma, Vpn};
+use latr_sim::{Nanos, Time, MILLISECOND};
+use latr_verify::{CoherenceOracle, Ctx};
 use latr_workloads::{PolicyKind, SweepStorm};
 
 /// Runs the bench-shaped sweep storm for `duration` and returns the
@@ -166,5 +171,55 @@ fn blocked_va_churn_allocates_nothing() {
         allocated, 0,
         "10,000 map/unmap/block/unblock cycles with {BLOCKED} ranges \
          blocked allocated {allocated} times"
+    );
+}
+
+/// Cores the oracle case shadows.
+const ORACLE_CPUS: u64 = 16;
+/// Pages each core's shadow TLB cycles through.
+const ORACLE_PAGES: u64 = 64;
+
+/// One oracle cycle on core `i % ORACLE_CPUS`: the TLB evicts the page
+/// filled half a working set ago, fills and hits the next page and
+/// invalidates the one after it; a frame no TLB caches is allocated and
+/// freed.
+fn oracle_cycle(o: &mut CoherenceOracle, i: u64) {
+    let cpu = CpuId((i % ORACLE_CPUS) as u16);
+    let page = (i / ORACLE_CPUS) % ORACLE_PAGES;
+    let victim = (page + ORACLE_PAGES / 2) % ORACLE_PAGES;
+    let at = Time::from_ns(i * 100);
+    let evicted = TlbEntry {
+        pcid: 1,
+        vpn: victim,
+        pfn: victim,
+        writable: true,
+    };
+    o.note_evictions(cpu, &[evicted], at);
+    o.note_fill(cpu, 1, Vpn(page), Pfn(page), true, at);
+    o.note_hit(cpu, 1, Vpn(page), Pfn(page), true, at);
+    o.note_invalidate(cpu, 1, Vpn((page + 1) % ORACLE_PAGES), at);
+    let uncached = Pfn(0x1000 + i % 32);
+    o.note_alloc(Ctx::Cpu(cpu), uncached, at);
+    o.note_free(Ctx::Kthread, uncached, at);
+}
+
+#[test]
+fn coherence_oracle_steady_state_allocates_nothing() {
+    let mut o = CoherenceOracle::new(ORACLE_CPUS as usize);
+    // Warm-up: wrap the history ring several times and grow every shadow
+    // map and the frame index to their working sizes.
+    for i in 0..5_000 {
+        oracle_cycle(&mut o, i);
+    }
+    let before = allocations();
+    for i in 5_000..15_000 {
+        oracle_cycle(&mut o, i);
+    }
+    let allocated = allocations() - before;
+    assert!(o.violation().is_none(), "{:?}", o.violation());
+    assert_eq!(o.events_observed(), 15_000 * 6);
+    assert_eq!(
+        allocated, 0,
+        "10,000 oracle cycles over a fixed working set allocated {allocated} times"
     );
 }
