@@ -61,7 +61,7 @@ fn main() {
             seed,
         );
         let us = |n: u64| n as f64 / 1e3;
-        let s = p.request_ns.clone().expect("requests served");
+        let s = p.request_ns.expect("requests served");
         println!(
             "{:<18} {:>10} {:>12.1} {:>10.1} {:>10.1} {:>10.1} {:>12} {:>8}",
             p.label,

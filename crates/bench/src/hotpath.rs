@@ -332,14 +332,7 @@ mod tests {
         let json = hotpath_json(&points, true);
         assert!(json.contains("\"speedup_at_16_cores\": 3.00"));
         assert!(json.contains("\"fingerprints_match\": true"));
-        assert!(!json.contains(",\n}"), "no trailing comma:\n{json}");
-        // Balanced braces/brackets as a cheap well-formedness check.
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
-        );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        crate::assert_strict_json(&json);
     }
 
     #[test]

@@ -423,9 +423,108 @@ pub fn print_degradation_summary(machine: &Machine) {
     );
 }
 
+/// What a strict JSON parser would reject in a bench's output: unbalanced
+/// or mismatched braces and brackets (counted outside strings), trailing
+/// commas, unterminated strings and raw control characters inside
+/// strings. Shared by every bench's `json_is_well_formed*` test.
+#[cfg(test)]
+pub(crate) fn json_faults(json: &str) -> Vec<String> {
+    let mut faults = Vec::new();
+    let mut open: Vec<char> = Vec::new();
+    let (mut in_string, mut escaped) = (false, false);
+    // The last non-whitespace character outside strings.
+    let mut last = ' ';
+    for (i, c) in json.char_indices() {
+        if in_string {
+            if escaped {
+                escaped = false;
+            } else if c == '\\' {
+                escaped = true;
+            } else if c == '"' {
+                in_string = false;
+            } else if c < '\u{20}' {
+                faults.push(format!(
+                    "raw control character {c:?} in a string at byte {i}"
+                ));
+            }
+            continue;
+        }
+        match c {
+            '"' => in_string = true,
+            '{' | '[' => open.push(c),
+            '}' | ']' => {
+                if last == ',' {
+                    faults.push(format!("trailing comma before {c:?} at byte {i}"));
+                }
+                let want = if c == '}' { '{' } else { '[' };
+                if open.pop() != Some(want) {
+                    faults.push(format!("unmatched {c:?} at byte {i}"));
+                }
+            }
+            _ => {}
+        }
+        if !c.is_whitespace() {
+            last = c;
+        }
+    }
+    if in_string {
+        faults.push("unterminated string".to_string());
+    }
+    if !open.is_empty() {
+        faults.push(format!("unclosed {open:?}"));
+    }
+    faults
+}
+
+/// Asserts that `json` has none of the [`json_faults`].
+#[cfg(test)]
+#[track_caller]
+pub(crate) fn assert_strict_json(json: &str) {
+    let faults = json_faults(json);
+    assert!(faults.is_empty(), "malformed JSON: {faults:?}\n{json}");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_faults_catch_what_a_strict_parser_rejects() {
+        assert_eq!(
+            json_faults("{\"a\": [1, {\"b\": \"}{][\"}]}\n"),
+            Vec::<String>::new()
+        );
+        assert_eq!(json_faults("{\"a\": \"x\\\"\\ny\"}"), Vec::<String>::new());
+        assert_eq!(
+            json_faults("{\"a\": \"x\ny\"}"),
+            ["raw control character '\\n' in a string at byte 8"]
+        );
+        assert_eq!(
+            json_faults("{\"a\": 1,\n}"),
+            ["trailing comma before '}' at byte 9"]
+        );
+        assert_eq!(json_faults("[1, 2}"), ["unmatched '}' at byte 5"]);
+        assert_eq!(
+            json_faults("{\"a\": \"b}"),
+            ["unterminated string", "unclosed ['{']"]
+        );
+    }
+
+    #[test]
+    fn committed_bench_files_are_strict_json() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(&root).expect("workspace root") {
+            let path = entry.expect("directory entry").path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if name.starts_with("BENCH_") && name.ends_with(".json") {
+                let json = std::fs::read_to_string(&path).expect("readable bench file");
+                assert_eq!(json_faults(&json), Vec::<String>::new(), "{name}");
+                seen += 1;
+            }
+        }
+        assert!(seen >= 6, "found {seen} committed BENCH_*.json files");
+    }
 
     #[test]
     fn scales_parse() {

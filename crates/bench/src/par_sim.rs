@@ -193,9 +193,7 @@ mod tests {
         assert!(json.contains("\"fingerprints_match\": true"));
         assert!(json.contains("\"speedup_at_4_cores\""));
         assert!(json.contains("\"host_cpus\""));
-        assert!(!json.contains(",\n}"), "no trailing comma:\n{json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        crate::assert_strict_json(&json);
     }
 
     #[test]

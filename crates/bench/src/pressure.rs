@@ -319,27 +319,6 @@ mod tests {
         assert_eq!(first.fingerprint, again.fingerprint, "rerun must replay");
     }
 
-    /// The raw control characters inside JSON string literals; a strict
-    /// JSON parser rejects every one of them.
-    fn control_chars_in_strings(json: &str) -> Vec<char> {
-        let mut found = Vec::new();
-        let (mut in_string, mut escaped) = (false, false);
-        for c in json.chars() {
-            if !in_string {
-                in_string = c == '"';
-            } else if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            } else if c < '\u{20}' {
-                found.push(c);
-            }
-        }
-        found
-    }
-
     #[test]
     fn json_is_well_formed() {
         let shape = quick_shape();
@@ -347,17 +326,6 @@ mod tests {
         let json = pressure_json(&points, &shape, true);
         assert!(json.contains("\"bench\": \"pressure\""));
         assert!(json.contains("latr-escalation"));
-        assert_eq!(json.matches("{").count(), json.matches("}").count());
-        assert_eq!(
-            control_chars_in_strings(&json),
-            [],
-            "raw control characters inside strings:\n{json}"
-        );
-    }
-
-    #[test]
-    fn control_chars_in_strings_are_caught() {
-        assert_eq!(control_chars_in_strings("{\"a\": \"x\ny\"}"), ['\n']);
-        assert_eq!(control_chars_in_strings("{\"a\": \"x\\\"\\ny\"}\n"), []);
+        crate::assert_strict_json(&json);
     }
 }

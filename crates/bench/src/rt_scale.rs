@@ -241,7 +241,7 @@ fn run_lazy(engine: ScaleEngine, threads: usize, duration: Duration) -> RtScaleP
                     }
                     stats.ops += LOOKUPS_PER_ROUND;
                     // Sweep at the "tick"; sample its latency every 8th.
-                    if round % 8 == 0 {
+                    if round.is_multiple_of(8) {
                         let t0 = Instant::now();
                         tlb.tick();
                         stats.sweep_ns.push(t0.elapsed().as_nanos() as u64);
@@ -272,7 +272,7 @@ fn run_lazy(engine: ScaleEngine, threads: usize, duration: Duration) -> RtScaleP
                     reclaimer.collect_into(&registry, core, &mut collect_buf);
                     if !collect_buf.is_empty() {
                         stats.collected += collect_buf.len() as u64;
-                        if round % CANARY_SAMPLE_ROUNDS == 0 {
+                        if round.is_multiple_of(CANARY_SAMPLE_ROUNDS) {
                             // Ground truth, not the cached frontier: the
                             // O(cores) scan is the canary's price, so it
                             // samples.
@@ -551,9 +551,7 @@ mod tests {
         assert!(json.contains("\"sharded_vs_reference_at_16\": 4.00"));
         assert!(json.contains("\"lazy_vs_sync_at_16\": 8.00"));
         assert!(json.contains("\"canary_passed\": true"));
-        assert!(!json.contains(",\n}"), "no trailing comma:\n{json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        crate::assert_strict_json(&json);
     }
 
     #[test]

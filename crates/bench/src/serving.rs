@@ -363,9 +363,7 @@ mod tests {
         assert!(json.contains("\"p999\": 10"));
         assert!(json.contains("\"shootdown_ns\": null"));
         assert!(json.contains("\"oracle_events\": 3, \"oracle_clean\": true}"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(!json.contains(",\n}"), "no trailing comma:\n{json}");
+        crate::assert_strict_json(&json);
     }
 
     #[test]

@@ -335,7 +335,7 @@ pub fn run_soak_point(
                     reclaimer.collect_into(&registry, core, &mut collect_buf);
                     if !collect_buf.is_empty() {
                         stats.collected += collect_buf.len() as u64;
-                        if round % CANARY_SAMPLE_ROUNDS == 0 {
+                        if round.is_multiple_of(CANARY_SAMPLE_ROUNDS) {
                             let min_live = registry.min_live_tick();
                             let epoch_now = registry.exclusion_events();
                             for &(due, at_epoch) in &collect_buf {
@@ -676,9 +676,7 @@ mod tests {
         let json = soak_json(&[point(true, 0, 2, 2)], true);
         assert!(json.contains("\"soak_passed\": true"));
         assert!(json.contains("\"deaths_recovered\": 2"));
-        assert!(!json.contains(",\n}"), "no trailing comma:\n{json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        crate::assert_strict_json(&json);
     }
 
     #[test]

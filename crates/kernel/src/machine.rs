@@ -214,6 +214,20 @@ pub struct ReclaimPackage {
     pub va: Option<VaRange>,
 }
 
+/// One task's in-kernel bookkeeping, indexed by [`TaskId`].
+#[derive(Clone, Copy, Default)]
+struct TaskSlot {
+    /// The op whose completion is pending.
+    in_flight: Option<Op>,
+    /// The op waiting for the mmap_sem.
+    parked: Option<Op>,
+    /// The mmap_sem mode the task holds.
+    lock_held: Option<LockMode>,
+    /// A hint fault waiting for a lazy NUMA unmap to finish (§4.4):
+    /// the page and whether the access writes.
+    blocked_fault: Option<(Vpn, bool)>,
+}
+
 /// The simulated machine. See the module documentation for the model.
 pub struct Machine {
     topology: Topology,
@@ -256,20 +270,14 @@ pub struct Machine {
     tickless: bool,
     live_tasks: usize,
     end_time: Time,
-    // Hint faults waiting for a lazy NUMA unmap to finish (§4.4).
-    blocked_faults: HashMap<u32, (Vpn, bool)>,
-    // Per-task in-flight ops (keyed by raw task id).
-    in_flight: HashMap<u32, Op>,
+    // Per-task kernel bookkeeping, parallel to `tasks`.
+    task_slots: Vec<TaskSlot>,
     // Pages currently swapped out, keyed by (mm, vpn).
     swapped: std::collections::HashSet<(u32, u64)>,
     // Pages the compactor wants migrated on their next (hint) fault.
     compact_pending: std::collections::HashSet<(u32, u64)>,
     // Per-mm mmap_sem locks, parallel to `mms`.
     locks: Vec<MmLock>,
-    // mmap_sem holds per task.
-    lock_held: HashMap<u32, LockMode>,
-    // Ops waiting for the mmap_sem.
-    parked: HashMap<u32, Op>,
     // Scratch vectors for the unmap/op-completion hot paths: taken with
     // `mem::take`, cleared, filled, and put back, so their capacity
     // survives across events and the steady state never allocates.
@@ -287,9 +295,6 @@ pub struct Machine {
     injector: Option<FaultInjector>,
     // Last-signalled pressure per node (edge detection for watermark events).
     pressure_level: Vec<latr_mem::Pressure>,
-    // Frames whose final reference is parked in a lazy-reclamation queue
-    // (the reclamation-debt ledger; see `note_reclaim_debt`).
-    debt_parked: std::collections::HashSet<Pfn>,
     // Frames grabbed by injected allocation bursts, one slot per plan site.
     burst_held: Vec<Vec<Pfn>>,
     // Whether each burst window has been applied (edge detection).
@@ -352,13 +357,10 @@ impl Machine {
             end_time: Time::MAX,
             topology: config.topology,
             costs: config.costs,
-            blocked_faults: HashMap::new(),
-            in_flight: HashMap::new(),
+            task_slots: Vec::new(),
             swapped: std::collections::HashSet::new(),
             compact_pending: std::collections::HashSet::new(),
             locks: Vec::new(),
-            lock_held: HashMap::new(),
-            parked: HashMap::new(),
             scratch_removed: Vec::new(),
             scratch_pages: Vec::new(),
             scratch_vmas: Vec::new(),
@@ -373,7 +375,6 @@ impl Machine {
                 FaultInjector::new(plan, root.fork(latr_faults::FAULT_STREAM))
             }),
             pressure_level: vec![latr_mem::Pressure::Normal; num_nodes],
-            debt_parked: std::collections::HashSet::new(),
             burst_held: vec![Vec::new(); num_bursts],
             burst_applied: vec![false; num_bursts],
             flap_counted: vec![false; num_flaps],
@@ -887,16 +888,13 @@ impl Machine {
     }
 
     /// Notes reclamation debt for a package the policy is about to defer:
-    /// each frame whose parked reference is the final one is a
-    /// freed-but-parked frame on its home node until the package is
-    /// released through
+    /// each frame whose parked reference is the final one is parked in
+    /// the allocator (a freed-but-parked frame on its home node) until the
+    /// package is released through
     /// [`release_reclaim_deferred`](Self::release_reclaim_deferred).
     pub fn note_reclaim_debt(&mut self, pkg: &ReclaimPackage) {
         for &pfn in &pkg.frames {
-            if self.frames.refcount(pfn) == 1 && self.debt_parked.insert(pfn) {
-                let node = self.frames.node_of(pfn);
-                self.frames.note_debt(node, 1);
-            }
+            self.frames.park(pfn);
         }
     }
 
@@ -906,10 +904,7 @@ impl Machine {
     /// recovery is signalled as soon as the pool refills.
     pub fn release_reclaim_deferred(&mut self, pkg: ReclaimPackage) {
         for &pfn in &pkg.frames {
-            if self.debt_parked.remove(&pfn) {
-                let node = self.frames.node_of(pfn);
-                self.frames.settle_debt(node, 1);
-            }
+            self.frames.unpark(pfn);
         }
         self.release_reclaim(pkg);
         self.poll_pressure();
@@ -1015,6 +1010,7 @@ impl Machine {
         );
         let id = TaskId(self.tasks.len() as u32);
         self.tasks.push(Task::new(id, mm, core));
+        self.task_slots.push(TaskSlot::default());
         self.cores[core.index()].current = Some(id);
         self.mms[mm.0 as usize].cpu_activated(core);
         self.live_tasks += 1;
@@ -1149,12 +1145,12 @@ impl Machine {
     /// task that already holds the requested mode (re-execution after a
     /// grant).
     fn acquire_mm_lock(&mut self, task: TaskId, mode: LockMode) -> bool {
-        if self.lock_held.get(&task.0).copied() == Some(mode) {
+        if self.task_slots[task.index()].lock_held == Some(mode) {
             return true;
         }
         let mm = self.tasks[task.index()].mm;
         if self.locks[mm.0 as usize].acquire(task, mode) {
-            self.lock_held.insert(task.0, mode);
+            self.task_slots[task.index()].lock_held = Some(mode);
             true
         } else {
             self.stats.inc("mmap_sem_waits");
@@ -1163,7 +1159,7 @@ impl Machine {
     }
 
     fn release_mm_lock(&mut self, task: TaskId) {
-        if self.lock_held.remove(&task.0).is_some() {
+        if self.task_slots[task.index()].lock_held.take().is_some() {
             let mm = self.tasks[task.index()].mm;
             let mut granted = std::mem::take(&mut self.scratch_granted);
             granted.clear();
@@ -1193,11 +1189,9 @@ impl Machine {
         } else {
             LockMode::Read
         };
-        self.lock_held.insert(task.0, mode);
-        let op = self
-            .parked
-            .remove(&task.0)
-            .expect("granted task has a parked op");
+        let slot = &mut self.task_slots[task.index()];
+        slot.lock_held = Some(mode);
+        let op = slot.parked.take().expect("granted task has a parked op");
         self.execute_op(task, op);
     }
 
@@ -1246,7 +1240,7 @@ impl Machine {
     fn execute_op(&mut self, task_id: TaskId, op: Op) {
         if let Some(mode) = self.lock_mode_for(task_id, &op) {
             if !self.acquire_mm_lock(task_id, mode) {
-                self.parked.insert(task_id.0, op);
+                self.task_slots[task_id.index()].parked = Some(op);
                 return;
             }
         }
@@ -1294,7 +1288,7 @@ impl Machine {
                     AccessOutcome::Done(cost) => self.begin_op(cpu, task_id, op, cost.max(1)),
                     AccessOutcome::BlockedOnNuma => {
                         // Op stays in flight; a NumaFaultRetry will finish it.
-                        self.blocked_faults.insert(task_id.0, (vpn, write));
+                        self.task_slots[task_id.index()].blocked_fault = Some((vpn, write));
                         self.hot.busy[cpu.index()] = true;
                         self.hot.op_started[cpu.index()] = self.now();
                         let retry = self.numa.config().fault_retry;
@@ -1354,7 +1348,7 @@ impl Machine {
             Op::Fork => self.do_fork(task_id, op),
             Op::Exit => {
                 debug_assert!(
-                    !self.lock_held.contains_key(&task_id.0),
+                    self.task_slots[task_id.index()].lock_held.is_none(),
                     "task exits while holding mmap_sem"
                 );
                 let t = &mut self.tasks[task_id.index()];
@@ -1396,7 +1390,7 @@ impl Machine {
             },
         );
         // Stash the op so completion can report it.
-        self.in_flight.insert(task.0, _op);
+        self.task_slots[task.index()].in_flight = Some(_op);
     }
 
     fn op_complete(&mut self, cpu: CpuId, task: TaskId, generation: u64) {
@@ -1422,9 +1416,9 @@ impl Machine {
         }
         self.hot.busy[i] = false;
         let latency = now - self.hot.op_started[i];
-        let op = self
+        let op = self.task_slots[task.index()]
             .in_flight
-            .remove(&task.0)
+            .take()
             .expect("completed op was in flight");
         self.tasks[task.index()].ops_completed += 1;
         self.release_mm_lock(task);
@@ -1582,7 +1576,7 @@ impl Machine {
                 return cost;
             }
         };
-        if self.swapped.remove(&(mm_id.0, vpn.0)) {
+        if !self.swapped.is_empty() && self.swapped.remove(&(mm_id.0, vpn.0)) {
             // Swap-in: the page's previous contents come back from the
             // backing store.
             cost += self.costs.swap_in;
@@ -1677,11 +1671,7 @@ impl Machine {
         let mut pages = std::mem::take(&mut self.scratch_pages);
         pages.clear();
         pages.extend(removed.iter().map(|&(v, pte)| (v, pte.pfn)));
-        // Unmapping cancels any swap/compaction bookkeeping for the range.
-        for vpn in range.iter() {
-            self.swapped.remove(&(mm_id.0, vpn.0));
-            self.compact_pending.remove(&(mm_id.0, vpn.0));
-        }
+        self.forget_swapped_and_pending(mm_id, &range);
 
         // Initiator-side cost: syscall, VMA surgery, PTE clears, per-sharer
         // bookkeeping, local TLB invalidation.
@@ -1803,7 +1793,7 @@ impl Machine {
                 t.wait_started = wait_start;
                 self.hot.busy[cpu.index()] = true;
                 self.hot.op_started[cpu.index()] = self.now();
-                self.in_flight.insert(task_id.0, op);
+                self.task_slots[task_id.index()].in_flight = Some(op);
                 // Completion comes from the last ACK.
             }
             FlushOutcome::Deferred {
@@ -2416,10 +2406,20 @@ impl Machine {
             for (_, pte) in removed {
                 self.frame_dec_ref(on, pte.pfn);
             }
-            for vpn in range.iter() {
-                self.swapped.remove(&(mm_id.0, vpn.0));
-                self.compact_pending.remove(&(mm_id.0, vpn.0));
-            }
+            self.forget_swapped_and_pending(mm_id, &range);
+        }
+    }
+
+    /// Unmapping cancels any swap/compaction bookkeeping for `range`. Both
+    /// sets are empty outside swap and compaction runs, and then no page
+    /// is probed.
+    fn forget_swapped_and_pending(&mut self, mm_id: MmId, range: &VaRange) {
+        if self.swapped.is_empty() && self.compact_pending.is_empty() {
+            return;
+        }
+        for vpn in range.iter() {
+            self.swapped.remove(&(mm_id.0, vpn.0));
+            self.compact_pending.remove(&(mm_id.0, vpn.0));
         }
     }
 
@@ -2621,7 +2621,7 @@ impl Machine {
         if !self.tasks[task_id.index()].is_live() {
             return;
         }
-        let Some(&(blocked_vpn, write)) = self.blocked_faults.get(&task_id.0) else {
+        let Some((blocked_vpn, write)) = self.task_slots[task_id.index()].blocked_fault else {
             return;
         };
         debug_assert_eq!(blocked_vpn, vpn);
@@ -2638,7 +2638,7 @@ impl Machine {
             );
             return;
         }
-        self.blocked_faults.remove(&task_id.0);
+        self.task_slots[task_id.index()].blocked_fault = None;
         let cost = self.numa_hint_fault(task_id, vpn, write);
         let cpu = self.tasks[task_id.index()].core;
         self.hot.op_generation[cpu.index()] += 1;
@@ -2677,7 +2677,8 @@ impl Machine {
             return cost;
         };
         let home = self.frames.node_of(pte.pfn);
-        let force_compact = self.compact_pending.remove(&(mm_id.0, vpn.0));
+        let force_compact =
+            !self.compact_pending.is_empty() && self.compact_pending.remove(&(mm_id.0, vpn.0));
         // Compaction migrates within the home node (defragmentation);
         // NUMA balancing migrates toward the accessing node.
         let target = if force_compact { home } else { node };

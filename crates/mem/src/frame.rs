@@ -1,14 +1,20 @@
 //! Physical frame allocator.
 //!
-//! A per-NUMA-node free-list allocator with per-frame reference counts.
-//! Reference counting is what enforces the paper's key invariant for free
+//! A per-NUMA-node allocator with per-frame reference counts. Reference
+//! counting is what enforces the paper's key invariant for free
 //! operations: "since the physical page reference count is non-zero, Latr
 //! ensures that the physical pages are not reused" (§4.2). A frame returns
-//! to the free list only when its last reference is dropped.
+//! to its node's free stack only when its last reference is dropped.
 //!
 //! Frames are numbered node-major: node `n` owns
 //! `[n * frames_per_node, (n+1) * frames_per_node)`, so a frame's home node
 //! is recoverable from its number — which the AutoNUMA model relies on.
+//!
+//! Nothing is sized by the machine's memory: a node hands out frames it
+//! has never allocated from a bump cursor (ascending), reuses freed frames
+//! LIFO before advancing it, and keeps a dense per-frame slot (refcount and
+//! parked mark) only for frames below the cursor. Every lookup is an index,
+//! never a hash probe.
 //!
 //! # Memory pressure
 //!
@@ -21,8 +27,10 @@
 //!   thresholds the kernel polices to trigger expedited reclamation and, at
 //!   the floor, synchronous fallback;
 //! - **reclamation debt**: frames that have been fully freed by the VM but
-//!   are still parked in a lazy-reclamation queue (refcount still held), so
-//!   `free + allocated == total` and `debt <= allocated` hold at all times.
+//!   are still parked in a lazy-reclamation queue (refcount still held).
+//!   [`FrameAllocator::park`] marks such a frame in its slot and counts it;
+//!   [`FrameAllocator::unpark`] settles it. `free + allocated == total` and
+//!   `debt <= allocated` hold at all times.
 //!
 //! Misuse is a typed, recoverable error — [`AllocError`] for exhaustion and
 //! [`FreeError`] for refcount underflow / references on free frames —
@@ -30,7 +38,6 @@
 
 use crate::addr::Pfn;
 use latr_arch::NodeId;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Why a frame allocation failed.
@@ -111,7 +118,59 @@ pub enum Pressure {
     Min,
 }
 
+/// One handed-out frame's bookkeeping.
+#[derive(Clone, Copy, Debug, Default)]
+struct FrameSlot {
+    /// Reference count; 0 while the frame sits on its node's free stack.
+    refs: u32,
+    /// The frame's only reference is parked in a lazy-reclamation queue
+    /// and counted as reclamation debt.
+    parked: bool,
+}
+
+/// One NUMA node's frames.
+#[derive(Debug, Clone)]
+struct NodeFrames {
+    /// The node's first frame number.
+    base: u64,
+    /// One slot per frame handed out at least once: slot `i` is frame
+    /// `base + i`. `slots.len()` is the bump cursor — every frame at or
+    /// beyond it has never been allocated and is free.
+    slots: Vec<FrameSlot>,
+    /// Freed frames, reused LIFO before the cursor advances.
+    freed: Vec<Pfn>,
+    /// Frames currently allocated (`free + allocated == total`).
+    allocated: u64,
+    /// Allocated frames currently parked (reclamation debt).
+    debt: u64,
+    /// Low-water mark of the free count over the allocator's life.
+    min_free: u64,
+}
+
+impl NodeFrames {
+    fn free(&self, frames_per_node: u64) -> u64 {
+        self.freed.len() as u64 + frames_per_node - self.slots.len() as u64
+    }
+
+    /// Takes the next free frame: the most recently freed one, else the
+    /// lowest never-allocated one.
+    fn take_free(&mut self, frames_per_node: u64) -> Option<Pfn> {
+        if let Some(pfn) = self.freed.pop() {
+            return Some(pfn);
+        }
+        let next = self.slots.len() as u64;
+        if next == frames_per_node {
+            return None;
+        }
+        self.slots.push(FrameSlot::default());
+        Some(Pfn(self.base + next))
+    }
+}
+
 /// The per-node, refcounting physical frame allocator.
+///
+/// Construction is O(nodes) and memory follows the frames a run touches
+/// (see the module documentation for the layout).
 ///
 /// ```
 /// use latr_mem::FrameAllocator;
@@ -128,15 +187,7 @@ pub enum Pressure {
 #[derive(Debug, Clone)]
 pub struct FrameAllocator {
     frames_per_node: u64,
-    free: Vec<Vec<Pfn>>,
-    refcounts: HashMap<Pfn, u32>,
-    /// Frames currently allocated on each node (`free + allocated == total`).
-    allocated: Vec<u64>,
-    /// Freed-but-parked frames per node: the VM dropped its last mapping but
-    /// a lazy-reclamation queue still holds the final reference.
-    debt: Vec<u64>,
-    /// Low-water mark of each node's free list over the allocator's life.
-    min_free: Vec<u64>,
+    nodes: Vec<NodeFrames>,
     low_watermark: u64,
     min_watermark: u64,
     allocations: u64,
@@ -156,21 +207,18 @@ impl FrameAllocator {
             nodes > 0 && frames_per_node > 0,
             "allocator must own memory"
         );
-        let free: Vec<Vec<Pfn>> = (0..nodes)
-            .map(|n| {
-                // Stack ordered so low frame numbers pop first; purely
-                // cosmetic but keeps runs deterministic and debuggable.
-                let base = n as u64 * frames_per_node;
-                (0..frames_per_node).rev().map(|i| Pfn(base + i)).collect()
-            })
-            .collect();
         FrameAllocator {
             frames_per_node,
-            free,
-            refcounts: HashMap::new(),
-            allocated: vec![0; nodes],
-            debt: vec![0; nodes],
-            min_free: vec![frames_per_node; nodes],
+            nodes: (0..nodes)
+                .map(|n| NodeFrames {
+                    base: n as u64 * frames_per_node,
+                    slots: Vec::new(),
+                    freed: Vec::new(),
+                    allocated: 0,
+                    debt: 0,
+                    min_free: frames_per_node,
+                })
+                .collect(),
             low_watermark: 0,
             min_watermark: 0,
             allocations: 0,
@@ -180,7 +228,7 @@ impl FrameAllocator {
 
     /// Number of NUMA nodes.
     pub fn nodes(&self) -> usize {
-        self.free.len()
+        self.nodes.len()
     }
 
     /// Frames each node owns.
@@ -236,10 +284,23 @@ impl FrameAllocator {
     pub fn node_of(&self, pfn: Pfn) -> NodeId {
         let node = pfn.0 / self.frames_per_node;
         assert!(
-            (node as usize) < self.free.len(),
+            (node as usize) < self.nodes.len(),
             "frame {pfn:?} outside machine"
         );
         NodeId(node as u8)
+    }
+
+    /// The slot of a frame that has been handed out at least once.
+    fn slot(&self, pfn: Pfn) -> Option<&FrameSlot> {
+        let node = self.nodes.get((pfn.0 / self.frames_per_node) as usize)?;
+        node.slots.get((pfn.0 % self.frames_per_node) as usize)
+    }
+
+    fn slot_mut(&mut self, pfn: Pfn) -> Option<&mut FrameSlot> {
+        let node = self
+            .nodes
+            .get_mut((pfn.0 / self.frames_per_node) as usize)?;
+        node.slots.get_mut((pfn.0 % self.frames_per_node) as usize)
     }
 
     /// Allocates a frame on `node` with reference count 1, falling back to
@@ -247,11 +308,10 @@ impl FrameAllocator {
     /// [`AllocError::OutOfMemory`] when the whole machine is out of frames.
     pub fn alloc(&mut self, node: NodeId) -> Result<Pfn, AllocError> {
         let n = node.0 as usize;
-        assert!(n < self.free.len(), "no such node {node:?}");
-        let order = std::iter::once(n).chain((0..self.free.len()).filter(|&i| i != n));
+        assert!(n < self.nodes.len(), "no such node {node:?}");
+        let order = std::iter::once(n).chain((0..self.nodes.len()).filter(|&i| i != n));
         for candidate in order {
-            if let Some(pfn) = self.free[candidate].pop() {
-                self.note_alloc(candidate, pfn);
+            if let Some(pfn) = self.alloc_on(candidate) {
                 return Ok(pfn);
             }
         }
@@ -263,29 +323,24 @@ impl FrameAllocator {
     /// than migrating to a different node).
     pub fn alloc_exact(&mut self, node: NodeId) -> Result<Pfn, AllocError> {
         let n = node.0 as usize;
-        assert!(n < self.free.len(), "no such node {node:?}");
-        match self.free[n].pop() {
-            Some(pfn) => {
-                self.note_alloc(n, pfn);
-                Ok(pfn)
-            }
-            None => Err(AllocError::NodeExhausted { node }),
-        }
+        assert!(n < self.nodes.len(), "no such node {node:?}");
+        self.alloc_on(n).ok_or(AllocError::NodeExhausted { node })
     }
 
-    fn note_alloc(&mut self, node: usize, pfn: Pfn) {
-        self.refcounts.insert(pfn, 1);
-        self.allocated[node] += 1;
+    fn alloc_on(&mut self, n: usize) -> Option<Pfn> {
+        let fpn = self.frames_per_node;
+        let node = &mut self.nodes[n];
+        let pfn = node.take_free(fpn)?;
+        node.slots[(pfn.0 - node.base) as usize].refs = 1;
+        node.allocated += 1;
+        node.min_free = node.min_free.min(node.free(fpn));
         self.allocations += 1;
-        let free = self.free[node].len() as u64;
-        if free < self.min_free[node] {
-            self.min_free[node] = free;
-        }
+        Some(pfn)
     }
 
     /// Current reference count of a frame (0 when free).
     pub fn refcount(&self, pfn: Pfn) -> u32 {
-        self.refcounts.get(&pfn).copied().unwrap_or(0)
+        self.slot(pfn).map_or(0, |s| s.refs)
     }
 
     /// Whether a frame is currently allocated.
@@ -296,106 +351,100 @@ impl FrameAllocator {
     /// Adds a reference (page shared by another mapping). Referencing a
     /// free frame is a hard [`FreeError::RefOnFree`]. Returns the new count.
     pub fn inc_ref(&mut self, pfn: Pfn) -> Result<u32, FreeError> {
-        match self.refcounts.get_mut(&pfn) {
-            Some(rc) => {
-                *rc += 1;
-                Ok(*rc)
+        match self.slot_mut(pfn) {
+            Some(slot) if slot.refs > 0 => {
+                slot.refs += 1;
+                Ok(slot.refs)
             }
-            None => Err(FreeError::RefOnFree { pfn }),
+            _ => Err(FreeError::RefOnFree { pfn }),
         }
     }
 
     /// Drops a reference; when the count reaches zero the frame returns to
-    /// its home node's free list. Returns the new count. Dropping a
+    /// its home node's free stack. Returns the new count. Dropping a
     /// reference on a free frame is a hard [`FreeError::DoubleFree`].
     pub fn dec_ref(&mut self, pfn: Pfn) -> Result<u32, FreeError> {
-        let rc = self
-            .refcounts
-            .get_mut(&pfn)
-            .ok_or(FreeError::DoubleFree { pfn })?;
-        *rc -= 1;
-        if *rc == 0 {
-            self.refcounts.remove(&pfn);
-            let node = self.node_of(pfn);
-            self.free[node.0 as usize].push(pfn);
-            self.allocated[node.0 as usize] -= 1;
-            self.frees += 1;
-            Ok(0)
-        } else {
-            Ok(*rc)
+        let slot = match self.slot_mut(pfn) {
+            Some(slot) if slot.refs > 0 => slot,
+            _ => return Err(FreeError::DoubleFree { pfn }),
+        };
+        slot.refs -= 1;
+        if slot.refs > 0 {
+            return Ok(slot.refs);
         }
+        debug_assert!(!slot.parked, "frame {pfn:?} freed while parked");
+        let node = &mut self.nodes[(pfn.0 / self.frames_per_node) as usize];
+        node.freed.push(pfn);
+        node.allocated -= 1;
+        self.frees += 1;
+        Ok(0)
     }
 
-    /// Records `frames` frames on `node` entering lazy reclamation: freed
-    /// by the VM, final reference parked in a deferred queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if debt would exceed the node's allocated frames — debt is a
-    /// subset of allocations by construction.
-    pub fn note_debt(&mut self, node: NodeId, frames: u64) {
-        let n = node.0 as usize;
-        self.debt[n] += frames;
-        assert!(
-            self.debt[n] <= self.allocated[n],
-            "reclamation debt {} exceeds allocated {} on {node:?}",
-            self.debt[n],
-            self.allocated[n],
-        );
+    /// Parks a frame whose only reference is about to sit in a lazy
+    /// reclamation queue: freed by the VM, final reference deferred. The
+    /// frame counts as reclamation debt on its home node until
+    /// [`unpark`](Self::unpark). Returns whether the frame was parked
+    /// now — a frame with other references, or one already parked, is
+    /// left alone.
+    pub fn park(&mut self, pfn: Pfn) -> bool {
+        let Some(slot) = self.slot_mut(pfn) else {
+            return false;
+        };
+        if slot.refs != 1 || slot.parked {
+            return false;
+        }
+        slot.parked = true;
+        self.nodes[(pfn.0 / self.frames_per_node) as usize].debt += 1;
+        true
     }
 
-    /// Records `frames` frames on `node` leaving lazy reclamation (the
-    /// parked reference was dropped or re-owned).
-    ///
-    /// # Panics
-    ///
-    /// Panics on underflow — settling debt that was never noted.
-    pub fn settle_debt(&mut self, node: NodeId, frames: u64) {
-        let n = node.0 as usize;
-        assert!(
-            self.debt[n] >= frames,
-            "settling {frames} frames of debt on {node:?} but only {} noted",
-            self.debt[n],
-        );
-        self.debt[n] -= frames;
+    /// Settles a parked frame's reclamation debt (its parked reference is
+    /// about to be dropped or re-owned). Returns whether it was parked.
+    pub fn unpark(&mut self, pfn: Pfn) -> bool {
+        let Some(slot) = self.slot_mut(pfn).filter(|s| s.parked) else {
+            return false;
+        };
+        slot.parked = false;
+        self.nodes[(pfn.0 / self.frames_per_node) as usize].debt -= 1;
+        true
     }
 
     /// Frames on `node` currently parked in lazy reclamation.
     pub fn reclaim_debt(&self, node: NodeId) -> u64 {
-        self.debt[node.0 as usize]
+        self.nodes[node.0 as usize].debt
     }
 
     /// Machine-wide reclamation debt.
     pub fn reclaim_debt_total(&self) -> u64 {
-        self.debt.iter().sum()
+        self.nodes.iter().map(|n| n.debt).sum()
     }
 
     /// Frames currently free on `node`.
     pub fn free_on_node(&self, node: NodeId) -> usize {
-        self.free[node.0 as usize].len()
+        self.nodes[node.0 as usize].free(self.frames_per_node) as usize
     }
 
     /// Frames currently allocated on `node` (including reclamation debt).
     pub fn allocated_on_node(&self, node: NodeId) -> u64 {
-        self.allocated[node.0 as usize]
+        self.nodes[node.0 as usize].allocated
     }
 
     /// The fewest free frames `node` has ever had.
     pub fn min_free_on_node(&self, node: NodeId) -> u64 {
-        self.min_free[node.0 as usize]
+        self.nodes[node.0 as usize].min_free
     }
 
     /// The fewest free frames any node has ever had.
     pub fn min_free(&self) -> u64 {
-        self.min_free.iter().copied().min().unwrap_or(0)
+        self.nodes.iter().map(|n| n.min_free).min().unwrap_or(0)
     }
 
     /// Checks per-node conservation: `free + allocated == total` and
     /// `debt <= allocated` on every node. The proptest suite leans on this.
     pub fn conservation_holds(&self) -> bool {
-        (0..self.free.len()).all(|n| {
-            self.free[n].len() as u64 + self.allocated[n] == self.frames_per_node
-                && self.debt[n] <= self.allocated[n]
+        self.nodes.iter().all(|n| {
+            n.free(self.frames_per_node) + n.allocated == self.frames_per_node
+                && n.debt <= n.allocated
         })
     }
 
@@ -411,9 +460,12 @@ impl FrameAllocator {
 
     /// Number of currently allocated frames.
     pub fn allocated_count(&self) -> usize {
-        self.refcounts.len()
+        self.nodes.iter().map(|n| n.allocated as usize).sum()
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -562,13 +614,17 @@ mod tests {
         assert!(fa.conservation_holds());
         // Both frames freed by the VM but parked in lazy reclamation: the
         // queue holds the final reference, the allocator holds the debt.
-        fa.note_debt(NodeId(0), 2);
+        assert!(fa.park(a));
+        assert!(fa.park(b));
+        assert!(!fa.park(a), "a frame is parked once");
         assert_eq!(fa.reclaim_debt(NodeId(0)), 2);
         assert_eq!(fa.reclaim_debt(NodeId(1)), 0);
         assert_eq!(fa.reclaim_debt_total(), 2);
         assert!(fa.conservation_holds());
         // Reclamation releases them: debt settles, refs drop, frames free.
-        fa.settle_debt(NodeId(0), 2);
+        assert!(fa.unpark(a));
+        assert!(fa.unpark(b));
+        assert!(!fa.unpark(b), "settling twice is refused");
         fa.dec_ref(a).unwrap();
         fa.dec_ref(b).unwrap();
         assert_eq!(fa.reclaim_debt_total(), 0);
@@ -577,18 +633,44 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds allocated")]
-    fn debt_cannot_exceed_allocations() {
+    fn only_sole_references_park() {
         let mut fa = FrameAllocator::new(1, 4);
-        let _a = fa.alloc(NodeId(0)).unwrap();
-        fa.note_debt(NodeId(0), 2);
+        let shared = fa.alloc(NodeId(0)).unwrap();
+        fa.inc_ref(shared).unwrap();
+        assert!(!fa.park(shared), "another mapping still holds it");
+        let freed = fa.alloc(NodeId(0)).unwrap();
+        fa.dec_ref(freed).unwrap();
+        assert!(!fa.park(freed), "free frames carry no debt");
+        assert!(!fa.park(Pfn(3)), "never-allocated frames carry no debt");
+        assert!(
+            !fa.park(Pfn(99)),
+            "frames outside the machine carry no debt"
+        );
+        assert_eq!(fa.reclaim_debt_total(), 0);
     }
 
     #[test]
-    #[should_panic(expected = "settling")]
-    fn settling_unnoted_debt_panics() {
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "freed while parked")]
+    fn freeing_a_parked_frame_panics() {
         let mut fa = FrameAllocator::new(1, 4);
-        fa.settle_debt(NodeId(0), 1);
+        let a = fa.alloc(NodeId(0)).unwrap();
+        fa.park(a);
+        let _ = fa.dec_ref(a);
+    }
+
+    #[test]
+    fn freed_frames_are_reused_lifo_before_fresh_ones() {
+        let mut fa = FrameAllocator::new(2, 8);
+        let fresh: Vec<Pfn> = (0..4).map(|_| fa.alloc(NodeId(1)).unwrap()).collect();
+        assert_eq!(fresh, vec![Pfn(8), Pfn(9), Pfn(10), Pfn(11)]);
+        fa.dec_ref(fresh[1]).unwrap();
+        fa.dec_ref(fresh[3]).unwrap();
+        assert_eq!(fa.alloc(NodeId(1)), Ok(Pfn(11)));
+        assert_eq!(fa.alloc(NodeId(1)), Ok(Pfn(9)));
+        assert_eq!(fa.alloc(NodeId(1)), Ok(Pfn(12)));
+        assert_eq!(fa.free_on_node(NodeId(1)), 3);
+        assert!(fa.conservation_holds());
     }
 
     #[test]

@@ -10,7 +10,6 @@ use crate::addr::Pfn;
 use crate::frame::{AllocError, FrameAllocator};
 use latr_arch::NodeId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Identifier of a cached file.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
@@ -30,9 +29,9 @@ pub struct FileId(pub u32);
 /// ```
 #[derive(Debug, Default)]
 pub struct PageCache {
-    frames: HashMap<(FileId, u64), Pfn>,
-    file_pages: HashMap<FileId, u64>,
-    next_file: u32,
+    /// Resident frame of each page, one vector per file indexed by
+    /// [`FileId`]; a file's vector length is its size in pages.
+    files: Vec<Vec<Option<Pfn>>>,
 }
 
 impl PageCache {
@@ -43,9 +42,8 @@ impl PageCache {
 
     /// Registers a file of `pages` pages and returns its id.
     pub fn register_file(&mut self, pages: u64) -> FileId {
-        let id = FileId(self.next_file);
-        self.next_file += 1;
-        self.file_pages.insert(id, pages);
+        let id = FileId(self.files.len() as u32);
+        self.files.push(vec![None; pages as usize]);
         id
     }
 
@@ -55,10 +53,10 @@ impl PageCache {
     ///
     /// Panics for an unregistered file.
     pub fn file_pages(&self, file: FileId) -> u64 {
-        *self
-            .file_pages
-            .get(&file)
+        self.files
+            .get(file.0 as usize)
             .unwrap_or_else(|| panic!("unknown file {file:?}"))
+            .len() as u64
     }
 
     /// Returns the resident frame for `(file, page)`, reading it in (one
@@ -79,23 +77,31 @@ impl PageCache {
             page < self.file_pages(file),
             "page {page} beyond end of {file:?}"
         );
-        if let Some(&pfn) = self.frames.get(&(file, page)) {
+        let slot = &mut self.files[file.0 as usize][page as usize];
+        if let Some(pfn) = *slot {
             return Ok(pfn);
         }
         let pfn = frames.alloc(node)?;
-        self.frames.insert((file, page), pfn);
+        *slot = Some(pfn);
         Ok(pfn)
     }
 
     /// Whether `(file, page)` is resident.
     pub fn is_resident(&self, file: FileId, page: u64) -> bool {
-        self.frames.contains_key(&(file, page))
+        self.files
+            .get(file.0 as usize)
+            .and_then(|pages| pages.get(page as usize))
+            .is_some_and(Option::is_some)
     }
 
     /// Evicts one file page, dropping the cache's frame reference. Returns
     /// the frame that backed it, if it was resident.
     pub fn evict(&mut self, file: FileId, page: u64, frames: &mut FrameAllocator) -> Option<Pfn> {
-        let pfn = self.frames.remove(&(file, page))?;
+        let pfn = self
+            .files
+            .get_mut(file.0 as usize)?
+            .get_mut(page as usize)?
+            .take()?;
         frames
             .dec_ref(pfn)
             .expect("page cache held a reference on its resident frame");
@@ -104,7 +110,7 @@ impl PageCache {
 
     /// Number of resident pages across all files.
     pub fn resident_pages(&self) -> usize {
-        self.frames.len()
+        self.files.iter().flatten().filter(|p| p.is_some()).count()
     }
 }
 
@@ -143,7 +149,7 @@ mod tests {
         let mut fa = FrameAllocator::new(1, 8);
         let mut pc = PageCache::new();
         let f = pc.register_file(1);
-        pc.frame_for(f, 1, NodeId(0), &mut fa);
+        let _ = pc.frame_for(f, 1, NodeId(0), &mut fa);
     }
 
     #[test]

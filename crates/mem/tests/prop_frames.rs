@@ -33,10 +33,11 @@ enum Step {
     IncRef(u8),
     /// `dec_ref` the i-th live frame (mod the live count).
     DecRef(u8),
-    /// Note reclamation debt for one live single-reference frame.
-    NoteDebt,
-    /// Settle one noted debt.
-    SettleDebt,
+    /// `park` the i-th live frame (mod the live count): only a
+    /// single-reference frame that is not yet parked takes the mark.
+    Park(u8),
+    /// Unpark one parked frame.
+    Unpark,
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
@@ -45,8 +46,8 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         any::<u8>().prop_map(|n| Step::AllocExact(n % NODES as u8)),
         any::<u8>().prop_map(Step::IncRef),
         any::<u8>().prop_map(Step::DecRef),
-        Just(Step::NoteDebt),
-        Just(Step::SettleDebt),
+        any::<u8>().prop_map(Step::Park),
+        Just(Step::Unpark),
     ]
 }
 
@@ -60,7 +61,7 @@ proptest! {
         let min = low.saturating_sub(min_gap);
         let mut fa = FrameAllocator::new(NODES, PER_NODE);
         fa.set_watermarks(low, min);
-        // Model: pfn → refcount, plus per-node noted-debt frames.
+        // Model: pfn → refcount, plus per-node parked frames.
         let mut refs: HashMap<u64, u32> = HashMap::new();
         let mut order: Vec<Pfn> = Vec::new();
         let mut debt: Vec<Vec<Pfn>> = vec![Vec::new(); NODES];
@@ -108,9 +109,9 @@ proptest! {
                     if !order.is_empty() {
                         let idx = i as usize % order.len();
                         let p = order.swap_remove(idx);
-                        // Frames with noted debt keep their last reference
-                        // until the debt settles (the machine's ledger
-                        // settles before releasing) — skip those here.
+                        // Parked frames keep their last reference until
+                        // they are unparked (the machine unparks before
+                        // releasing) — skip those here.
                         if refs[&p.0] == 1 && debt[fa.node_of(p).0 as usize].contains(&p) {
                             order.push(p);
                             continue;
@@ -124,25 +125,21 @@ proptest! {
                         }
                     }
                 }
-                Step::NoteDebt => {
-                    // Pick a live single-reference frame with no debt yet —
-                    // mirrors the machine's `debt_parked` ledger, which
-                    // only notes refcount-1 frames once.
-                    let cand = order.iter().copied().find(|p| {
-                        refs[&p.0] == 1 && !debt[fa.node_of(*p).0 as usize].contains(p)
-                    });
-                    if let Some(p) = cand {
-                        let node = fa.node_of(p);
-                        fa.note_debt(node, 1);
-                        debt[node.0 as usize].push(p);
+                Step::Park(i) => {
+                    if !order.is_empty() {
+                        let p = order[i as usize % order.len()];
+                        let node = fa.node_of(p).0 as usize;
+                        let expect = refs[&p.0] == 1 && !debt[node].contains(&p);
+                        prop_assert_eq!(fa.park(p), expect);
+                        if expect {
+                            debt[node].push(p);
+                        }
                     }
                 }
-                Step::SettleDebt => {
-                    for n in 0..NODES {
-                        if let Some(_p) = debt[n].pop() {
-                            fa.settle_debt(NodeId(n as u8), 1);
-                            break;
-                        }
+                Step::Unpark => {
+                    if let Some(p) = debt.iter_mut().find_map(Vec::pop) {
+                        prop_assert!(fa.unpark(p));
+                        prop_assert!(!fa.unpark(p), "unparked twice");
                     }
                 }
             }
@@ -150,13 +147,13 @@ proptest! {
             // ---- invariants, every step --------------------------------
             prop_assert!(fa.conservation_holds());
             let mut free_total = 0u64;
-            for n in 0..NODES {
+            for (n, parked) in debt.iter().enumerate() {
                 let node = NodeId(n as u8);
                 let free = fa.free_on_node(node) as u64;
                 free_total += free;
                 let allocated = fa.allocated_on_node(node);
                 prop_assert_eq!(free + allocated, PER_NODE, "node {} totals", n);
-                prop_assert_eq!(fa.reclaim_debt(node), debt[n].len() as u64);
+                prop_assert_eq!(fa.reclaim_debt(node), parked.len() as u64);
                 prop_assert!(fa.reclaim_debt(node) <= allocated);
                 // Pressure is a pure function of free vs the watermarks.
                 let expect = if free < min {
@@ -188,13 +185,9 @@ proptest! {
             prop_assert!(tracked <= min_free_seen, "per-node minima sum below any global low point");
         }
 
-        // Teardown: settle all debt, drop every reference; nothing leaks.
-        for n in 0..NODES {
-            let node = NodeId(n as u8);
-            let owed = debt[n].len() as u64;
-            if owed > 0 {
-                fa.settle_debt(node, owed);
-            }
+        // Teardown: unpark everything, drop every reference; nothing leaks.
+        for &p in debt.iter().flatten() {
+            prop_assert!(fa.unpark(p));
         }
         for p in order {
             fa.dec_ref(p).expect("teardown reference");

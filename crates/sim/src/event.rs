@@ -6,27 +6,27 @@
 //!
 //! * [`QueueBackend::Fast`] — a calendar (bucket) queue keyed on the event
 //!   instant. `schedule`/`pop`/`peek_time` are O(1) amortised: the heap
-//!   that used to dominate large-topology runs (and its O(n) cancel-aware
-//!   peek) is gone from the hot path. Buckets are pre-sized arenas that
-//!   keep their capacity across drains, so steady-state operation does not
-//!   touch the allocator.
-//! * [`QueueBackend::Reference`] — the original binary min-heap with the
-//!   linear cancel-aware peek, kept alive as the executable specification.
-//!   The differential suite (`tests/differential.rs`) runs both backends
-//!   on identical inputs and asserts bit-identical behaviour.
+//!   that used to dominate large-topology runs is gone from the hot path.
+//!   Buckets are pre-sized arenas that keep their capacity across drains,
+//!   so steady-state operation does not touch the allocator.
+//! * [`QueueBackend::Reference`] — the original binary min-heap, kept
+//!   alive as the executable specification. The differential suite
+//!   (`tests/differential.rs`) runs both backends on identical inputs and
+//!   asserts bit-identical behaviour.
 //!
 //! The default backend is `Fast`; building `latr-sim` with the
 //! `reference` cargo feature flips the default (both backends are always
 //! compiled, so one process can construct and compare the two).
+//!
+//! Scheduled events cannot be cancelled: nothing in the simulator cancels
+//! one, so neither `pop` nor `peek_time` consults a cancelled set.
 
 use crate::time::Time;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
-/// Identifier of a scheduled event, unique within one [`EventQueue`].
-///
-/// Can be used with [`EventQueue::cancel`] to lazily remove a scheduled
-/// event before it fires.
+/// Identifier of a scheduled event, unique within one [`EventQueue`]: its
+/// schedule-order sequence number, which tie-breaks same-instant events.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EventId(u64);
 
@@ -78,7 +78,7 @@ impl<E> Ord for ScheduledEvent<E> {
 pub enum QueueBackend {
     /// Calendar/bucket queue: the production hot path.
     Fast,
-    /// Binary heap with linear cancel-aware peek: the executable spec.
+    /// Binary heap: the executable spec.
     Reference,
 }
 
@@ -245,9 +245,7 @@ impl<E> Calendar<E> {
         if self.near == 0 {
             // Empty ring: re-anchor the cursor at the clock. Every future
             // schedule lands at or after `now`, so this is the lowest
-            // bound the window will ever need — and it repairs the one
-            // case where lazy-cancellation skipping left `cur` ahead of
-            // the clock (see `pop_min`).
+            // bound the window will ever need.
             self.cur = Self::bucket_of(now);
         }
         let entry = Entry {
@@ -318,8 +316,7 @@ impl<E> Calendar<E> {
     }
 
     /// Removes and returns the minimum event. The cursor advances to its
-    /// bucket; the caller re-anchors via `insert` if it discards events
-    /// (lazy cancellation) without advancing the clock.
+    /// bucket.
     pub(crate) fn pop_min(&mut self) -> Option<ScheduledEvent<E>> {
         if self.near == 0 {
             let f = self.far.peek()?;
@@ -350,9 +347,7 @@ impl<E> Calendar<E> {
     ///
     /// `scratch` is caller-owned reusable storage for merging far-heap
     /// events that fall below the horizon (rare: only schedules placed
-    /// beyond the ring span ever reach the far heap). Only sound on a
-    /// calendar with no lazily-cancelled events pending — the lane engine
-    /// does not support cancellation.
+    /// beyond the ring span ever reach the far heap).
     pub(crate) fn extract_until(
         &mut self,
         horizon: Time,
@@ -448,7 +443,7 @@ impl<E> Calendar<E> {
     }
 
     /// The minimum pending `(time, id)` without popping or advancing the
-    /// cursor. Assumes no lazily-cancelled events (lane-engine use).
+    /// cursor.
     pub(crate) fn peek_min_key(&self) -> Option<(Time, EventId)> {
         let near = if self.near > 0 {
             let nb = self.next_occupied(self.cur);
@@ -461,37 +456,6 @@ impl<E> Calendar<E> {
         match (near, far) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
-        }
-    }
-
-    /// The minimum pending `(time, id)` after dropping cancelled events
-    /// from the front. Unlike `pop_min` this never advances the cursor, so
-    /// it is safe to schedule earlier-but-future events afterwards.
-    fn peek_skip(&mut self, cancelled: &mut HashSet<EventId>) -> Option<Time> {
-        loop {
-            if self.near == 0 {
-                let e = self.far.peek()?;
-                if cancelled.remove(&e.id) {
-                    let entry = self.far.pop().expect("peeked");
-                    drop(self.arena_take(entry.handle));
-                    continue;
-                }
-                return Some(e.time);
-            }
-            self.drain_far();
-            let nb = self.next_occupied(self.cur);
-            let slot = (nb & BUCKET_MASK) as usize;
-            let front = *self.buckets[slot].last().expect("occupied bucket");
-            if cancelled.remove(&front.id) {
-                self.buckets[slot].pop();
-                if self.buckets[slot].is_empty() {
-                    self.occ_clear(slot);
-                }
-                self.near -= 1;
-                drop(self.arena_take(front.handle));
-                continue;
-            }
-            return Some(front.time);
         }
     }
 }
@@ -518,7 +482,6 @@ enum Backend<E> {
 pub struct EventQueue<E> {
     backend: Backend<E>,
     next_id: u64,
-    cancelled: HashSet<EventId>,
     now: Time,
     popped: u64,
 }
@@ -544,7 +507,6 @@ impl<E> EventQueue<E> {
                 QueueBackend::Reference => Backend::Reference(BinaryHeap::new()),
             },
             next_id: 0,
-            cancelled: HashSet::new(),
             now: Time::ZERO,
             popped: 0,
         }
@@ -570,8 +532,7 @@ impl<E> EventQueue<E> {
         self.popped
     }
 
-    /// Number of events currently pending (including lazily cancelled ones
-    /// that have not yet been skipped past).
+    /// Number of events currently pending.
     #[inline]
     pub fn len(&self) -> usize {
         match &self.backend {
@@ -586,9 +547,8 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
-    /// Schedules `payload` to fire at absolute instant `time`.
-    ///
-    /// Returns an [`EventId`] usable with [`cancel`](Self::cancel).
+    /// Schedules `payload` to fire at absolute instant `time` and returns
+    /// its [`EventId`].
     ///
     /// # Panics
     ///
@@ -617,51 +577,25 @@ impl<E> EventQueue<E> {
         self.schedule(self.now + delta, payload)
     }
 
-    /// Lazily cancels a scheduled event. The event stays in the queue but
-    /// is skipped when it reaches the front. Cancelling an already-delivered
-    /// or unknown id is a no-op.
-    pub fn cancel(&mut self, id: EventId) {
-        self.cancelled.insert(id);
-    }
-
     /// Pops the earliest pending event, advancing the clock to its instant.
     ///
     /// Returns `None` when the queue is exhausted.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        loop {
-            let ev = match &mut self.backend {
-                Backend::Fast(c) => c.pop_min(),
-                Backend::Reference(h) => h.pop(),
-            }?;
-            if self.cancelled.remove(&ev.id) {
-                continue;
-            }
-            debug_assert!(ev.time >= self.now, "event queue time went backwards");
-            self.now = ev.time;
-            self.popped += 1;
-            return Some((ev.time, ev.payload));
-        }
+        let ev = match &mut self.backend {
+            Backend::Fast(c) => c.pop_min(),
+            Backend::Reference(h) => h.pop(),
+        }?;
+        debug_assert!(ev.time >= self.now, "event queue time went backwards");
+        self.now = ev.time;
+        self.popped += 1;
+        Some((ev.time, ev.payload))
     }
 
-    /// The instant of the earliest pending (non-cancelled) event, if any.
-    ///
-    /// Takes `&mut self` because the fast backend discards cancelled
-    /// events it skips past (an observable no-op: lazy cancellation only
-    /// ever removes them later anyway). The reference backend scans
-    /// without mutating, exactly as the original implementation did.
-    pub fn peek_time(&mut self) -> Option<Time> {
-        match &mut self.backend {
-            Backend::Fast(c) => c.peek_skip(&mut self.cancelled),
-            Backend::Reference(h) => {
-                // Cancelled events may sit at the front; we must skip them
-                // without popping. Cheap in practice because cancellation
-                // is rare.
-                let cancelled = &self.cancelled;
-                h.iter()
-                    .filter(|ev| !cancelled.contains(&ev.id))
-                    .map(|ev| ev.time)
-                    .min()
-            }
+    /// The instant of the earliest pending event, if any.
+    pub fn peek_time(&self) -> Option<Time> {
+        match &self.backend {
+            Backend::Fast(c) => c.peek_min_key().map(|(t, _)| t),
+            Backend::Reference(h) => h.peek().map(|ev| ev.time),
         }
     }
 }
@@ -733,49 +667,16 @@ mod tests {
     }
 
     #[test]
-    fn cancel_skips_event() {
+    fn delivered_counts_pops() {
         for b in backends() {
             let mut q = EventQueue::with_backend(b);
-            let a = q.schedule(Time::from_ns(1), 'a');
+            q.schedule(Time::from_ns(1), 'a');
             q.schedule(Time::from_ns(2), 'b');
-            q.cancel(a);
-            assert_eq!(q.pop().unwrap().1, 'b');
-            assert!(q.pop().is_none());
-        }
-    }
-
-    #[test]
-    fn cancel_unknown_is_noop() {
-        for b in backends() {
-            let mut q = EventQueue::with_backend(b);
-            let a = q.schedule(Time::from_ns(1), 'a');
-            assert_eq!(q.pop().unwrap().1, 'a');
-            q.cancel(a); // already delivered
-            q.schedule(Time::from_ns(2), 'b');
-            assert_eq!(q.pop().unwrap().1, 'b');
-        }
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        for b in backends() {
-            let mut q = EventQueue::with_backend(b);
-            let a = q.schedule(Time::from_ns(1), 'a');
-            q.schedule(Time::from_ns(7), 'b');
-            q.cancel(a);
-            assert_eq!(q.peek_time(), Some(Time::from_ns(7)));
-        }
-    }
-
-    #[test]
-    fn delivered_counts_only_real_events() {
-        for b in backends() {
-            let mut q = EventQueue::with_backend(b);
-            let a = q.schedule(Time::from_ns(1), 'a');
-            q.schedule(Time::from_ns(2), 'b');
-            q.cancel(a);
             q.pop();
             assert_eq!(q.delivered(), 1);
+            q.pop();
+            assert!(q.pop().is_none());
+            assert_eq!(q.delivered(), 2);
         }
     }
 
@@ -826,31 +727,16 @@ mod tests {
         q.pop();
         // Peek at a far-ahead event, then schedule something earlier (but
         // still in the future). It must pop first.
-        let far = q.schedule(Time::from_ns(2_000_000), 9);
+        q.schedule(Time::from_ns(2_000_000), 9);
         assert_eq!(q.peek_time(), Some(Time::from_ns(2_000_000)));
         q.schedule(Time::from_ns(200), 1);
         assert_eq!(q.pop().unwrap(), (Time::from_ns(200), 1));
-        q.cancel(far);
+        assert_eq!(q.pop().unwrap(), (Time::from_ns(2_000_000), 9));
         assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn all_cancelled_then_reschedule_earlier() {
-        // Popping through cancelled events advances the calendar cursor
-        // without advancing the clock; a subsequent earlier-but-future
-        // schedule must still be delivered (the empty-ring re-anchor).
-        let mut q = EventQueue::with_backend(QueueBackend::Fast);
-        q.schedule(Time::from_ns(1_000), 0);
-        q.pop();
-        let a = q.schedule(Time::from_ns(500_000), 1);
-        q.cancel(a);
-        assert!(q.pop().is_none());
-        q.schedule(Time::from_ns(2_000), 2);
-        assert_eq!(q.pop().unwrap(), (Time::from_ns(2_000), 2));
     }
 
     /// The two backends must deliver identical `(time, id, payload)`
-    /// sequences for arbitrary interleavings of schedule/cancel/pop.
+    /// sequences for arbitrary interleavings of schedule/peek/pop.
     #[test]
     fn backends_agree_on_random_interleavings() {
         use crate::rng::SimRng;
@@ -858,7 +744,6 @@ mod tests {
             let mut rng = SimRng::new(0xE4E47 + seed);
             let mut fast = EventQueue::with_backend(QueueBackend::Fast);
             let mut refq = EventQueue::with_backend(QueueBackend::Reference);
-            let mut live: Vec<EventId> = Vec::new();
             let mut next_payload = 0u64;
             for _ in 0..4_000 {
                 match rng.below(10) {
@@ -876,16 +761,7 @@ mod tests {
                         let id_f = fast.schedule(t, next_payload);
                         let id_r = refq.schedule(t, next_payload);
                         assert_eq!(id_f, id_r);
-                        live.push(id_f);
                         next_payload += 1;
-                    }
-                    6 => {
-                        if !live.is_empty() {
-                            let i = rng.below(live.len() as u64) as usize;
-                            let id = live.swap_remove(i);
-                            fast.cancel(id);
-                            refq.cancel(id);
-                        }
                     }
                     _ => {
                         assert_eq!(fast.peek_time(), refq.peek_time());

@@ -25,9 +25,8 @@
 //!   **staging** heaps, so they are deliverable immediately without any
 //!   cross-thread traffic.
 //!
-//! Cancellation is not supported (the kernel's machine loop never cancels);
-//! that keeps pops free of the cancelled-set hash probe the sequential
-//! queues pay per event.
+//! Like the sequential queue, lanes have no cancellation (the kernel's
+//! machine loop never cancels).
 //!
 //! The epoch/handoff protocol itself is [`EpochBarrier`]; under
 //! `--cfg loom` its lock comes from the vendored loom shim so the
@@ -496,7 +495,7 @@ impl<E: Send + 'static> LaneSet<E> {
     }
 
     /// The instant of the earliest pending event, advancing the epoch as
-    /// needed (mirrors `EventQueue::peek_time`'s `&mut self` laziness).
+    /// needed (hence `&mut self`, unlike `EventQueue::peek_time`).
     pub fn peek_time(&mut self) -> Option<Time> {
         loop {
             let min = self

@@ -22,24 +22,36 @@
 //! A third pins it for the coherence oracle driven directly: once its
 //! history ring and shadow maps have grown, recording fills, hits,
 //! invalidations, capacity evictions and frame churn allocates nothing.
+//!
+//! A fourth pins it for the frame allocator and the page cache: frame
+//! allocation and release, page-cache faults and evictions, and parking
+//! frames as reclamation debt reuse the per-frame slots of frames already
+//! handed out.
+//!
+//! The allocator also counts bytes, which bounds construction: building
+//! the 120-core, 8-node machine with its default 4 GiB of frames per node
+//! must not allocate memory in proportion to those frames.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::VecDeque;
 
 /// Counts every allocation (`alloc`, `alloc_zeroed`, and growth via
-/// `realloc`) routed through the global allocator, per thread, so the
+/// `realloc`) routed through the global allocator, and the bytes each one
+/// requests (a `realloc` counts its whole new size), per thread, so the
 /// cases can run in parallel without counting each other.
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_allocation() {
+fn count_allocation(bytes: usize) {
     // `try_with` because the allocator also serves thread teardown, after
-    // the counter itself is gone.
+    // the counters themselves are gone.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 /// Allocations the calling thread has performed so far.
@@ -47,20 +59,25 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-// SAFETY: delegates every operation to `System` unchanged; the counter
-// is a const-initialised thread-local `Cell` with no destructor, which
-// never allocates.
+/// Bytes the calling thread has requested so far.
+fn bytes_allocated() -> u64 {
+    BYTES.with(Cell::get)
+}
+
+// SAFETY: delegates every operation to `System` unchanged; the counters
+// are const-initialised thread-local `Cell`s with no destructor, which
+// never allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
+        count_allocation(layout.size());
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
+        count_allocation(layout.size());
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation();
+        count_allocation(new_size);
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -71,10 +88,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+use latr_arch::NodeId;
 use latr_arch::{CpuId, MachinePreset, TlbEntry, Topology};
 use latr_core::LatrConfig;
 use latr_kernel::{EngineBackend, Machine, MachineConfig};
-use latr_mem::{MmId, MmStruct, Pfn, Prot, VaRange, Vma, Vpn};
+use latr_mem::{FileId, FrameAllocator, MmId, MmStruct, PageCache, Pfn, Prot, VaRange, Vma, Vpn};
 use latr_sim::{Nanos, Time, MILLISECOND};
 use latr_verify::{CoherenceOracle, Ctx};
 use latr_workloads::{PolicyKind, SweepStorm};
@@ -221,5 +239,80 @@ fn coherence_oracle_steady_state_allocates_nothing() {
     assert_eq!(
         allocated, 0,
         "10,000 oracle cycles over a fixed working set allocated {allocated} times"
+    );
+}
+
+/// Frames each frame-churn cycle keeps parked.
+const PARKED: usize = 48;
+/// Pages of the file the frame-churn cycles fault in.
+const FILE_PAGES: u64 = 40;
+
+/// One frame cycle: allocate a frame, park it as reclamation debt and
+/// release the oldest parked frame; fault one page of `file` through the
+/// page cache, take and drop a mapping reference on it, and every third
+/// cycle evict the next page so it has to be read in again.
+fn frame_cycle(
+    fa: &mut FrameAllocator,
+    pc: &mut PageCache,
+    file: FileId,
+    parked: &mut VecDeque<Pfn>,
+    i: u64,
+) {
+    let node = NodeId((i % 2) as u8);
+    let pfn = fa.alloc(node).expect("machine has room");
+    assert!(fa.park(pfn));
+    parked.push_back(pfn);
+    if parked.len() > PARKED {
+        let oldest = parked.pop_front().expect("parked is non-empty");
+        assert!(fa.unpark(oldest));
+        assert_eq!(fa.dec_ref(oldest), Ok(0));
+    }
+    let page = i % FILE_PAGES;
+    let cached = pc
+        .frame_for(file, page, node, fa)
+        .expect("machine has room");
+    assert_eq!(fa.inc_ref(cached), Ok(2));
+    assert_eq!(fa.dec_ref(cached), Ok(1));
+    if i.is_multiple_of(3) {
+        pc.evict(file, (page + 1) % FILE_PAGES, fa);
+    }
+}
+
+#[test]
+fn frame_and_page_cache_churn_allocates_nothing() {
+    let mut fa = FrameAllocator::new(2, 1 << 20);
+    let mut pc = PageCache::new();
+    let file = pc.register_file(FILE_PAGES);
+    let mut parked = VecDeque::with_capacity(PARKED + 1);
+    // Warm-up: hand out every frame the cycle's working set needs and
+    // grow the free stacks to their working depth.
+    for i in 0..2_000 {
+        frame_cycle(&mut fa, &mut pc, file, &mut parked, i);
+    }
+    let before = allocations();
+    for i in 2_000..12_000 {
+        frame_cycle(&mut fa, &mut pc, file, &mut parked, i);
+    }
+    let allocated = allocations() - before;
+    assert_eq!(fa.reclaim_debt_total(), PARKED as u64);
+    assert!(fa.conservation_holds());
+    assert_eq!(
+        allocated, 0,
+        "10,000 frame alloc/park/free and page-cache fault cycles allocated {allocated} times"
+    );
+}
+
+#[test]
+fn large_machine_construction_is_not_sized_by_its_frames() {
+    const BOUND: u64 = 16 << 20;
+    let config = MachineConfig::new(Topology::preset(MachinePreset::LargeNuma8S120C));
+    let frames = config.frames_per_node * config.topology.num_nodes() as u64;
+    let before = bytes_allocated();
+    let machine = Machine::new(config);
+    let bytes = bytes_allocated() - before;
+    assert_eq!(machine.frames.free_on_node(NodeId(7)) as u64, frames / 8);
+    assert!(
+        bytes < BOUND,
+        "Machine::new over {frames} frames allocated {bytes} bytes (bound {BOUND})"
     );
 }
